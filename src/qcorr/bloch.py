@@ -174,6 +174,8 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"{name}: expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError(f"{name}: matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise InvalidStateError(f"{name}: matrix is not Hermitian within {HERMITICITY_TOL}")
     tr = complex(np.trace(rho))
@@ -240,6 +242,10 @@ class BellDiagonalState:
     def __post_init__(self):
         if self.mode not in ("full", "deviation"):
             raise ValueError(f"mode must be 'full' or 'deviation', got {self.mode!r}")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise InvalidStateError(
+                f"Bell coefficients ({self.c1}, {self.c2}, {self.c3}) must be finite"
+            )
         if self.mode == "full":
             smallest = min(self.populations())
             if smallest < PSD_TOL:

@@ -1,13 +1,13 @@
 """Open-system evolution of two-qubit states under NMR relaxation.
 
-Each qubit relaxes through two independent mechanisms: generalized
-amplitude damping toward the thermal state on the longitudinal
-timescale T1, and phase damping killing coherences on the transverse
-timescale T2. Both are applied in operator-sum form with exact
-exponential parameters p(t) = 1 - exp(-t/T1), lambda(t) = 1 - exp(-t/T2)
-and gamma = 1/2 - eps/2, eps being the thermal polarization. The scalar
-spin-spin coupling between the two nuclei is available as a separate
-unitary; Bell-diagonal states are invariant under it.
+Each qubit relaxes through generalized amplitude damping toward the
+thermal state (timescale T1), then phase damping (timescale T2), with
+p(t) = 1 - exp(-t/T1), lambda(t) = 1 - exp(-t/T2) and gamma = 1/2 - eps/2,
+eps being the thermal polarization. Evolution runs through the Pauli
+transfer matrices of these channels, stacked over the time grid; their
+operator-sum Kraus sets are the oracle the matrices are tested against.
+The scalar spin-spin coupling is a separate unitary; Bell-diagonal
+states are invariant under it.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import SIGMA_Z, BellDiagonalState, BlochRecord, bloch_decompose
+from .bloch import PAULIS, SIGMA_Z, BellDiagonalState, BlochRecord
 from .measures import UNITS_DEVIATION, UNITS_FULL, CorrelationReport, report_from_record
 
 COMPLETENESS_TOL = 1e-12
@@ -23,6 +23,11 @@ COMPLETENESS_TOL = 1e-12
 #: confirmation threshold for a sudden transition: the second difference
 #: of d_g at the candidate must exceed this multiple of its median.
 TRANSITION_SPIKE_FACTOR = 10.0
+
+_PAULI_1Q = np.array([np.eye(2), *PAULIS])
+#: sigma_i (x) sigma_j for i, j in (I, X, Y, Z), shape (4, 4, 4, 4)
+_PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _PAULI_1Q, _PAULI_1Q).reshape(4, 4, 4, 4)
+_PAULI_PRODUCTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -124,30 +129,53 @@ def apply_two_qubit_channel(
     return (out + out.conj().T) / 2.0
 
 
-def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -> np.ndarray:
-    """State after relaxing for time t (seconds) from rho0.
+def local_ptm(p, gamma: float, lam) -> np.ndarray:
+    """Pauli transfer matrix T_kl = tr[sigma_k L(sigma_l)] / 2, (I, X, Y, Z) order,
+    of GAD(p, gamma) followed by PD(lam); arrays p, lam of one shape lead the (4, 4)."""
+    p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
+    for name, value in (("p", p), ("gamma", gamma), ("lambda", lam)):
+        if not np.all((value >= 0) & (value <= 1)):
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    ptm = np.zeros(p.shape + (4, 4))
+    ptm[..., 0, 0] = 1.0
+    ptm[..., 1, 1] = ptm[..., 2, 2] = np.sqrt(1.0 - p) * (1.0 - lam)
+    ptm[..., 3, 0] = p * (2.0 * gamma - 1.0)
+    ptm[..., 3, 3] = 1.0 - p
+    return ptm
 
-    Per qubit, amplitude damping with p = 1 - exp(-t/T1) is followed by
-    phase damping with lambda = 1 - exp(-t/T2) (the two orders agree on
-    all Bell coefficients; this one is fixed for reproducibility). The
-    exponential parameters make the family a semigroup, so evolving to
-    each time from t = 0 is exact.
-    """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+
+def _relax(r0: np.ndarray, times, params: RelaxationParams | None) -> np.ndarray:
+    """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
+    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state."""
+    times = np.asarray(times, dtype=float)
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
+        raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
     if params is None:
         params = RelaxationParams()
     gamma = 0.5 - params.epsilon / 2.0
-    damped = apply_two_qubit_channel(
-        rho0,
-        gad_kraus(1.0 - np.exp(-t / params.t1_a), gamma),
-        gad_kraus(1.0 - np.exp(-t / params.t1_b), gamma),
-    )
-    return apply_two_qubit_channel(
-        damped,
-        pd_kraus(1.0 - np.exp(-t / params.t2_a)),
-        pd_kraus(1.0 - np.exp(-t / params.t2_b)),
-    )
+    t_a = local_ptm(-np.expm1(-times / params.t1_a), gamma, -np.expm1(-times / params.t2_a))
+    t_b = local_ptm(-np.expm1(-times / params.t1_b), gamma, -np.expm1(-times / params.t2_b))
+    return t_a @ r0 @ np.swapaxes(t_b, -1, -2)
+
+
+def _states(r: np.ndarray) -> np.ndarray:
+    """sum_ij R_ij sigma_i (x) sigma_j / 4 for a stack of coefficient matrices."""
+    return np.einsum("nij,ijab->nab", r, _PAULI_PRODUCTS) / 4.0
+
+
+def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -> np.ndarray:
+    """State after relaxing for time t (seconds) from rho0.
+
+    GAD comes before PD on each qubit (the two orders agree on all Bell
+    coefficients). The channels form a semigroup, so evolving to each
+    time from t = 0 is exact.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit state, got shape {rho0.shape}")
+    r0 = np.einsum("ijab,ba->ij", _PAULI_PRODUCTS, rho0).real
+    return _states(_relax(r0, [t], params))[0]
 
 
 def j_coupling_unitary(j: float, t: float) -> np.ndarray:
@@ -215,40 +243,29 @@ def make_trajectory(
         params = RelaxationParams()
     if t_max is not None and dt is not None:
         raise ValueError("give either t_max or dt, not both")
-    if dt is None:
-        if t_max is not None:
-            if not t_max > 0:
-                raise ValueError(f"t_max must be positive, got {t_max}")
-            dt = t_max / (n_points - 1)
-        else:
-            dt = 1.0 / (4.0 * params.j_coupling)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if t_max is not None:
+        if not t_max > 0:
+            raise ValueError(f"t_max must be positive, got {t_max}")
+        dt = t_max / (n_points - 1)
+    elif dt is None:
+        dt = 1.0 / (4.0 * params.j_coupling)
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
-    if state0.mode == "deviation":
-        rho0 = state0.density_matrix(epsilon=params.epsilon)
-        scale, units = params.epsilon, UNITS_DEVIATION
-    else:
-        rho0 = state0.density_matrix()
-        scale, units = 1.0, UNITS_FULL
-
+    deviation = state0.mode == "deviation"
+    scale, units = (params.epsilon, UNITS_DEVIATION) if deviation else (1.0, UNITS_FULL)
     times = np.arange(n_points) * dt
-    states: list[np.ndarray] = []
-    coeffs = np.empty((n_points, 3))
-    reports: list[CorrelationReport] = []
-    for i, t in enumerate(times):
-        rho_t = evolve(rho0, float(t), params)
-        record = bloch_decompose(rho_t, 2)
-        x = record.x / scale
-        y = record.y / scale
-        c = record.C / scale
-        coeffs[i] = np.diagonal(c)
-        if not include_local_bloch:
-            x = np.zeros_like(x)
-            y = np.zeros_like(y)
-        scaled = BlochRecord(x=x, y=y, C=c)
-        states.append(rho_t)
-        reports.append(report_from_record(scaled, 2, rho=rho_t, units=units))
+    # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
+    r = _relax(np.diag([1.0, *(scale * state0.coefficients)]), times, params)
+    states = list(_states(r))
+    x, y, c = r[:, 1:, 0] / scale, r[:, 0, 1:] / scale, r[:, 1:, 1:] / scale
+    if not include_local_bloch:
+        x, y = np.zeros_like(x), np.zeros_like(y)
+    reports = [
+        report_from_record(BlochRecord(x=x[i], y=y[i], C=c[i]), 2, rho=states[i], units=units)
+        for i in range(n_points)
+    ]
+    coeffs = np.diagonal(c, axis1=1, axis2=2).copy()
     return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
 
 
@@ -269,6 +286,11 @@ def detect_transition(traj: Trajectory) -> TransitionPoint | None:
     candidate is confirmed when the second difference of d_g next to it
     spikes above TRANSITION_SPIKE_FACTOR times the median second
     difference. Returns the first confirmed point, or None.
+
+    The spike test needs a grid fine enough that the slope jump of d_g
+    stands out against its curvature times dt. At the default dt = 1/(4J)
+    it holds; at dt = 5 ms it misses real transitions, e.g. the deviation
+    state c = (0.7762, -0.6143, 0.2848) switches at index 34 unconfirmed.
     """
     n = len(traj.times)
     if n < 5:

@@ -86,11 +86,30 @@ def _require(doc: dict, key: str, kinds, where: str):
     if key not in doc:
         raise StateFormatError(f"{where}: missing field {key!r}", field_name=key)
     value = doc[key]
-    if not isinstance(value, kinds):
+    if isinstance(value, bool) or not isinstance(value, kinds):  # JSON true is no number
         raise StateFormatError(
             f"{where}: field {key!r} has type {type(value).__name__}", field_name=key
         )
     return value
+
+
+def _number_array(doc: dict, key: str, where: str) -> np.ndarray:
+    """Field ``key`` as a float array: a list, or list of lists, of finite JSON numbers."""
+    value = _require(doc, key, list, where)
+    entries = [v for item in value for v in (item if isinstance(item, list) else [item])]
+    # exact types: bool is an int subclass, and a list here would nest too deep
+    if not all(type(v) in (int, float) for v in entries):
+        raise StateFormatError(f"{where}: field {key!r} must hold numbers only",
+                               field_name=key)
+    try:
+        arr = np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise StateFormatError(f"{where}: field {key!r} is not a numeric array ({exc})",
+                               field_name=key)
+    if not np.isfinite(arr).all():
+        raise StateFormatError(f"{where}: field {key!r} holds non-finite numbers",
+                               field_name=key)
+    return arr
 
 
 def load_state_file(path: str | Path) -> LoadedState:
@@ -110,14 +129,8 @@ def load_state_file(path: str | Path) -> LoadedState:
     kind = _require(doc, "kind", str, str(path))
     if kind == "matrix":
         dim = _require(doc, "dim", int, str(path))
-        re_part = _require(doc, "re", list, str(path))
-        im_part = _require(doc, "im", list, str(path))
-        try:
-            re_arr = np.array(re_part, dtype=float)
-            im_arr = np.array(im_part, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise StateFormatError(f"{path}: non-numeric matrix entries ({exc})",
-                                   field_name="re")
+        re_arr = _number_array(doc, "re", str(path))
+        im_arr = _number_array(doc, "im", str(path))
         if re_arr.shape != (dim, dim):
             raise StateFormatError(
                 f"{path}: field 're' has shape {re_arr.shape}, expected ({dim}, {dim})",
@@ -130,8 +143,8 @@ def load_state_file(path: str | Path) -> LoadedState:
             )
         return LoadedState(kind="matrix", matrix=re_arr + 1j * im_arr)
     if kind == "bell":
-        coeffs = _require(doc, "c", list, str(path))
-        if len(coeffs) != 3 or not all(isinstance(c, (int, float)) for c in coeffs):
+        coeffs = _number_array(doc, "c", str(path))
+        if coeffs.shape != (3,):
             raise StateFormatError(f"{path}: field 'c' must hold 3 numbers", field_name="c")
         mode = doc.get("mode", "full")
         if mode not in ("full", "deviation"):
@@ -334,6 +347,12 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
         except ValueError:
             raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
 
+    def as_int(key: str, value: str) -> int:
+        number = as_float(key, value)
+        if not number.is_integer():
+            raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+        return int(number)
+
     for key, value in raw.items():
         if key == "state.file":
             cfg.state_file = value
@@ -351,11 +370,11 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
         elif key == "grid.dt":
             cfg.dt = as_float(key, value)
         elif key == "grid.n_points":
-            cfg.n_points = int(as_float(key, value))
+            cfg.n_points = as_int(key, value)
         elif key == "shots":
-            cfg.shots = int(as_float(key, value))
+            cfg.shots = as_int(key, value)
         elif key == "seed":
-            cfg.seed = int(as_float(key, value))
+            cfg.seed = as_int(key, value)
         elif key == "include_local_bloch":
             cfg.include_local_bloch = _parse_bool(value, key)
         elif key == "output":

@@ -166,6 +166,21 @@ def test_check_density_matrix_rejects_negative():
     assert err.value.min_eigenvalue == pytest.approx(-0.05)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.nan])
+def test_check_density_matrix_rejects_non_finite(value):
+    rho = (np.eye(4) / 4.0).astype(complex)
+    rho[1, 2] = rho[2, 1] = value
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        check_density_matrix(rho)
+
+
+@pytest.mark.parametrize("mode", ["full", "deviation"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bell_diagonal_rejects_non_finite(mode, value):
+    with pytest.raises(InvalidStateError, match="finite"):
+        BellDiagonalState(0.1, value, 0.2, mode=mode)
+
+
 def test_bell_diagonal_tetrahedron_constraint():
     BellDiagonalState(1.0, -1.0, 1.0)  # a Bell state sits on a vertex
     with pytest.raises(InvalidStateError):

@@ -14,10 +14,14 @@ from qcorr import (
     evolve,
     gad_kraus,
     j_coupling_unitary,
+    local_ptm,
+    make_trajectory,
     pd_kraus,
     pseudo_epr_transform,
     random_density_matrix,
 )
+from qcorr.bloch import PAULIS
+from qcorr.measures import UNITS_DEVIATION, full_report
 
 
 def bell_phi_plus():
@@ -176,6 +180,102 @@ def test_evolve_outputs_are_states():
     for _ in range(10):
         rho = random_density_matrix(4, seed=rng)
         check_density_matrix(evolve(rho, float(rng.uniform(0, 3)), params))
+
+
+def kraus_ptm(*kraus_sets):
+    """T_kl = tr[sigma_k L(sigma_l)] / 2, L applying the Kraus sets in order."""
+    basis = (np.eye(2), *PAULIS)
+    ptm = np.empty((4, 4))
+    for col, sigma in enumerate(basis):
+        out = sigma
+        for kraus in kraus_sets:
+            out = apply_single(out, kraus)
+        for row, tau in enumerate(basis):
+            ptm[row, col] = np.trace(tau @ out).real / 2.0
+    return ptm
+
+
+def kraus_evolve(rho, t, params):
+    """The operator-sum reference for evolve: GAD on both qubits, then PD."""
+    gamma = 0.5 - params.epsilon / 2.0
+    damped = apply_two_qubit_channel(
+        rho,
+        gad_kraus(-np.expm1(-t / params.t1_a), gamma),
+        gad_kraus(-np.expm1(-t / params.t1_b), gamma),
+    )
+    return apply_two_qubit_channel(
+        damped, pd_kraus(-np.expm1(-t / params.t2_a)), pd_kraus(-np.expm1(-t / params.t2_b))
+    )
+
+
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
+@settings(max_examples=300)
+def test_local_ptm_matches_kraus(p, gamma, lam):
+    want = kraus_ptm(gad_kraus(p, gamma), pd_kraus(lam))
+    assert np.max(np.abs(local_ptm(p, gamma, lam) - want)) <= 1e-15
+
+
+def test_local_ptm_stacks_and_validates():
+    p, lam = np.array([0.0, 0.3, 1.0]), np.array([0.5, 0.0, 1.0])
+    stacked = local_ptm(p, 0.4, lam)
+    assert stacked.shape == (3, 4, 4)
+    for i in range(3):
+        assert np.array_equal(stacked[i], local_ptm(p[i], 0.4, lam[i]))
+    for bad in ((1.1, 0.5, 0.0), (0.5, -0.1, 0.0), (0.5, 0.5, np.nan)):
+        with pytest.raises(ValueError, match="must lie in"):
+            local_ptm(*bad)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 30),
+    st.lists(st.floats(0.05, 20), min_size=4, max_size=4),
+    st.sampled_from([1e-5, 0.3, 1.0]),
+)
+@settings(max_examples=150)
+def test_evolve_matches_kraus_oracle(seed, t, times, eps):
+    params = RelaxationParams(*times, epsilon=eps)
+    rho = random_density_matrix(4, rank=1 + seed % 4, seed=seed)
+    assert np.max(np.abs(evolve(rho, t, params) - kraus_evolve(rho, t, params))) <= 1e-14
+
+
+@pytest.mark.parametrize("include_local_bloch", [False, True])
+@pytest.mark.parametrize(
+    "state", [BellDiagonalState(0.5, -0.06, 0.24, mode="deviation"),
+              BellDiagonalState(0.9, -0.9, 0.8)],
+)
+def test_stacked_trajectory_matches_per_time_evolve(state, include_local_bloch):
+    params = RelaxationParams()
+    traj = make_trajectory(state, params, n_points=60, include_local_bloch=include_local_bloch)
+    deviation = state.mode == "deviation"
+    eps = params.epsilon if deviation else None
+    rho0 = state.density_matrix(epsilon=eps)
+    scale = eps if deviation else 1.0
+    for t, rho_t, coeffs, report in zip(traj.times, traj.states, traj.bell_coeffs,
+                                        traj.reports):
+        single = evolve(rho0, float(t), params)
+        assert np.max(np.abs(rho_t - single)) <= 1e-15
+        # the Bloch data read off the stack are those of the per-time state;
+        # q (not d_g, whose arccos amplifies round-off near a degenerate
+        # top pair of S) sees x, which differs between the qubits
+        assert np.max(np.abs(coeffs - np.diagonal(bloch_decompose(single).C) / scale)) <= 1e-10
+        want = full_report(single, mode=state.mode, epsilon=eps,
+                           include_local_bloch=include_local_bloch)
+        assert abs(report.q - want.q) <= 1e-10
+        assert (report.q_n is None) == (want.q_n is None)
+        assert report.units == (UNITS_DEVIATION if deviation else "eps^0")
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1e-9])
+def test_evolve_rejects_non_finite_and_negative_times(t):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        evolve(np.eye(4) / 4.0, t)
+
+
+@pytest.mark.parametrize("grid", [{"dt": np.inf}, {"t_max": np.inf}])
+def test_trajectory_rejects_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="finite"):
+        make_trajectory(BellDiagonalState(0.2, -0.2, 0.2, mode="deviation"), **grid)
 
 
 def test_j_coupling_unitary_basics():

@@ -72,6 +72,14 @@ def test_state_file_bell(tmp_path):
         ({"kind": "bell", "c": [0.1, 0.2]}, "c"),
         ({"kind": "bell", "c": [0.1, 0.2, 0.3], "mode": "weird"}, "mode"),
         ({"kind": "spaghetti"}, "kind"),
+        ({"kind": "matrix", "dim": True, "re": [[1]], "im": [[0]]}, "dim"),
+        ({"kind": "matrix", "dim": 1, "re": [[True]], "im": [[0]]}, "re"),
+        ({"kind": "matrix", "dim": 1, "re": [["1"]], "im": [[0]]}, "re"),
+        ({"kind": "matrix", "dim": 1, "re": [[1]], "im": [[float("nan")]]}, "im"),
+        ({"kind": "matrix", "dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}, "re"),
+        ({"kind": "bell", "c": [True, 0, 0]}, "c"),
+        ({"kind": "bell", "c": [float("inf"), 0, 0], "mode": "deviation"}, "c"),
+        ({"kind": "bell", "c": [10**400, 0, 0]}, "c"),
     ],
 )
 def test_state_file_field_errors(tmp_path, doc, field):
@@ -140,6 +148,40 @@ def test_cli_measure_matrix_file(tmp_path, capsys):
     assert main(["measure", "--state", str(path)]) == 0
     out = capsys.readouterr().out
     assert "d_g = 0" in out
+
+
+def test_config_rejects_fractional_integers():
+    for key in ("grid.n_points", "shots", "seed"):
+        with pytest.raises(ConfigError, match=f"{key}.*integer"):
+            build_config({"state.c": "0.1 0.1 0.1", "seed": "1", key: "2.7"})
+    cfg = build_config({"state.c": "0.1 0.1 0.1", "grid.n_points": "51.0"})
+    assert cfg.n_points == 51
+
+
+def test_cli_measure_nan_matrix_exit_2(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    re_part = (np.eye(4) / 4.0).tolist()
+    re_part[1][2] = float("nan")
+    path.write_text(json.dumps({"kind": "matrix", "dim": 4, "re": re_part,
+                                "im": np.zeros((4, 4)).tolist()}))
+    assert main(["measure", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "'re'" in captured.err and "non-finite" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_cli_measure_infinite_bell_exit_2(tmp_path, capsys):
+    path = write_bell_file(tmp_path / "inf.json", [float("inf"), 0.0, 0.0])
+    assert main(["measure", "--state", path]) == 2
+    captured = capsys.readouterr()
+    assert "'c'" in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_measure_bool_coefficient_exit_2(tmp_path, capsys):
+    path = write_bell_file(tmp_path / "bool.json", [True, 0, 0])
+    assert main(["measure", "--state", path]) == 2
+    assert "'c'" in capsys.readouterr().err
 
 
 def test_cli_measure_parse_error_exit_2(tmp_path, capsys):
