@@ -9,14 +9,11 @@ detection.
 from .bloch import (
     BellDiagonalState,
     BlochRecord,
-    DeviationState,
     InvalidStateError,
-    OperatorBasis,
     bloch_compose,
     bloch_decompose,
     check_density_matrix,
     gellmann_basis,
-    pauli_basis,
     random_density_matrix,
     random_unitary,
 )
@@ -34,7 +31,6 @@ from .channels import (
     make_trajectory,
     one_sided_slopes,
     pd_kraus,
-    pseudo_epr_transform,
 )
 from .eigen import hermitian_eigenvalues, sym3_eigenvalues
 from .measures import (
@@ -69,12 +65,10 @@ __all__ = [
     "BellDiagonalState",
     "BlochRecord",
     "CorrelationReport",
-    "DeviationState",
     "InvalidStateError",
     "KrausSet",
     "LOCAL_ROTATIONS",
     "MeasurementRecord",
-    "OperatorBasis",
     "ROTATION_TABLE",
     "RelaxationParams",
     "RotationSpec",
@@ -104,9 +98,7 @@ __all__ = [
     "negativity_of_quantumness_bell",
     "one_sided_slopes",
     "partial_transpose",
-    "pauli_basis",
     "pd_kraus",
-    "pseudo_epr_transform",
     "q_lower_bound",
     "random_density_matrix",
     "random_unitary",

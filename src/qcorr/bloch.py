@@ -16,7 +16,7 @@ prefactors reduce to the familiar 1/4).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class InvalidStateError(ValueError):
 
 
 @dataclass(frozen=True)
-class OperatorBasis:
-    """Traceless Hermitian generators for one subsystem, tr[t_a t_b] = 2 d_ab."""
-
-    d: int
-    generators: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class BlochRecord:
     """Bloch data (x, y, C) of a 2 x d state."""
 
@@ -67,12 +59,7 @@ class BlochRecord:
         return int(round(np.sqrt(len(self.y) + 1)))
 
 
-def pauli_basis() -> OperatorBasis:
-    """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
-    return OperatorBasis(d=2, generators=PAULIS)
-
-
-def gellmann_basis(d: int) -> OperatorBasis:
+def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
     """Generalized Gell-Mann generators of SU(d), tr[t_a t_b] = 2 delta_ab.
 
     Ordered as the d(d-1)/2 symmetric pair operators, then the
@@ -100,7 +87,7 @@ def gellmann_basis(d: int) -> OperatorBasis:
             m[j, j] = 1
         m[l, l] = -l
         gens.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return OperatorBasis(d=d, generators=tuple(gens))
+    return tuple(gens)
 
 
 # Stacked product operators per d, reused by decompose/compose:
@@ -112,7 +99,7 @@ _OP_STACKS: dict[int, np.ndarray] = {}
 def _operator_stack(d: int) -> np.ndarray:
     stack = _OP_STACKS.get(d)
     if stack is None:
-        taus = gellmann_basis(d).generators
+        taus = gellmann_basis(d)
         eye_d = np.eye(d, dtype=complex)
         eye_2 = np.eye(2, dtype=complex)
         ops = [np.kron(s, eye_d) for s in PAULIS]
@@ -283,36 +270,3 @@ class BellDiagonalState:
         if epsilon is None:
             raise ValueError("epsilon is required to compose a deviation-mode state")
         return np.eye(4, dtype=complex) / 4.0 + epsilon * self.deviation_matrix()
-
-
-@dataclass(frozen=True)
-class DeviationState:
-    """High-temperature state I/4 + epsilon * delta with traceless Hermitian delta.
-
-    epsilon is the (dimensionless) ratio of magnetic to thermal energy,
-    of order 1e-5 for room-temperature nuclear spins; its microscopic
-    constituents (Larmor frequency, Boltzmann constant, temperature) are
-    never needed individually, only the ratio enters.
-    """
-
-    epsilon: float
-    delta: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        delta = np.asarray(self.delta, dtype=complex)
-        if delta.shape != (4, 4):
-            raise ValueError(f"delta must be 4x4, got shape {delta.shape}")
-        if abs(complex(np.trace(delta))) > TRACE_TOL:
-            raise ValueError("delta is not traceless within 1e-12")
-        if np.max(np.abs(delta - delta.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("delta is not Hermitian within 1e-12")
-        object.__setattr__(self, "delta", delta)
-
-    def compose(self) -> np.ndarray:
-        """I/4 + epsilon*delta, validated as a density matrix."""
-        rho = np.eye(4, dtype=complex) / 4.0 + self.epsilon * self.delta
-        rho = (rho + rho.conj().T) / 2.0
-        check_density_matrix(rho, name="deviation state")
-        return rho

@@ -11,12 +11,12 @@ states are invariant under it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bloch import PAULIS, SIGMA_Z, BellDiagonalState, BlochRecord
-from .measures import UNITS_DEVIATION, UNITS_FULL, CorrelationReport, report_from_record
+from .measures import CorrelationReport, report_from_record, scaled_record
 
 COMPLETENESS_TOL = 1e-12
 
@@ -35,7 +35,8 @@ class RelaxationParams:
     """Relaxation times (s), polarization and scalar coupling (Hz).
 
     Defaults are the chloroform values: hydrogen T1 = 3.57 s, T2 = 1.2 s;
-    carbon T1 = 10 s, T2 = 0.19 s; J = 215.1 Hz; eps ~ 1e-5.
+    carbon T1 = 10 s, T2 = 0.19 s; J = 215.1 Hz; eps ~ 1e-5. Every field
+    must be finite and positive, and eps at most 1.
     """
 
     t1_a: float = 3.57
@@ -46,10 +47,11 @@ class RelaxationParams:
     j_coupling: float = 215.1
 
     def __post_init__(self):
-        for name in ("t1_a", "t2_a", "t1_b", "t2_b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0 < self.epsilon <= 1:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
+        if not self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
@@ -185,25 +187,6 @@ def j_coupling_unitary(j: float, t: float) -> np.ndarray:
     return np.diag(np.exp(-1j * phase * zz))
 
 
-def pseudo_epr_transform(populations) -> np.ndarray:
-    """Map a diagonal deviation diag(a, b, g, d) onto its X-form image.
-
-    Output = [[a+g, 0, 0, -a+g], [0, b+d, -b+d, 0],
-              [0, -b+d, b+d, 0], [-a+g, 0, 0, a+g]] / 2;
-    the trace a+b+g+d is preserved.
-    """
-    pops = np.asarray(populations, dtype=float)
-    if pops.shape != (4,):
-        raise ValueError(f"expected 4 populations, got shape {pops.shape}")
-    a, b, g, d = pops
-    out = np.zeros((4, 4))
-    out[0, 0] = out[3, 3] = (a + g) / 2.0
-    out[1, 1] = out[2, 2] = (b + d) / 2.0
-    out[0, 3] = out[3, 0] = (-a + g) / 2.0
-    out[1, 2] = out[2, 1] = (-b + d) / 2.0
-    return out
-
-
 @dataclass
 class Trajectory:
     """Time series of an evolving two-qubit state with its measures."""
@@ -252,20 +235,21 @@ def make_trajectory(
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
-    deviation = state0.mode == "deviation"
-    scale, units = (params.epsilon, UNITS_DEVIATION) if deviation else (1.0, UNITS_FULL)
+    coeffs0 = state0.coefficients
+    if state0.mode == "deviation":
+        coeffs0 = params.epsilon * coeffs0
     times = np.arange(n_points) * dt
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
-    r = _relax(np.diag([1.0, *(scale * state0.coefficients)]), times, params)
+    r = _relax(np.diag([1.0, *coeffs0]), times, params)
     states = list(_states(r))
-    x, y, c = r[:, 1:, 0] / scale, r[:, 0, 1:] / scale, r[:, 1:, 1:] / scale
-    if not include_local_bloch:
-        x, y = np.zeros_like(x), np.zeros_like(y)
+    stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
+    rec, units = scaled_record(stacked, state0.mode, params.epsilon, include_local_bloch)
     reports = [
-        report_from_record(BlochRecord(x=x[i], y=y[i], C=c[i]), 2, rho=states[i], units=units)
+        report_from_record(BlochRecord(x=rec.x[i], y=rec.y[i], C=rec.C[i]), 2,
+                           rho=states[i], units=units)
         for i in range(n_points)
     ]
-    coeffs = np.diagonal(c, axis1=1, axis2=2).copy()
+    coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
     return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
 
 

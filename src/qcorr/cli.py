@@ -37,7 +37,7 @@ from .io import (
     serialize_report,
     serialize_trajectory,
 )
-from .measures import UNITS_DEVIATION, UNITS_FULL, full_report, report_from_record
+from .measures import full_report, report_from_record, scaled_record
 from .protocol import measurement_budget, run_direct_protocol
 
 log = logging.getLogger("qcorr")
@@ -75,7 +75,6 @@ def _evolve_config(args):
         "t_max": args.t_max,
         "dt": args.dt,
         "n_points": args.points,
-        "seed": args.seed,
         "epsilon": args.epsilon,
         "include_local_bloch": args.include_local_bloch,
         "output": args.output,
@@ -103,9 +102,9 @@ def cmd_evolve(args) -> int:
         n_points=cfg.n_points,
         include_local_bloch=cfg.include_local_bloch,
     )
+    hit = detect_transition(traj)  # rejects a too-short grid before any file is written
     Path(cfg.output).write_text(serialize_trajectory(traj, cfg.format))
     log.info("wrote %d trajectory points to %s", cfg.n_points, cfg.output)
-    hit = detect_transition(traj)
     if hit is None:
         print("t_star = none")
     else:
@@ -124,11 +123,8 @@ def cmd_protocol(args) -> int:
     exact = run_direct_protocol(rho)
     tomo = bloch_decompose(rho, 2)
 
-    scale = eps if mode == "deviation" else 1.0
-    units = UNITS_DEVIATION if mode == "deviation" else UNITS_FULL
-    raw = measured.to_bloch_record()
-    direct_rec = BlochRecord(x=raw.x / scale, y=raw.y, C=raw.C / scale)
-    tomo_rec = BlochRecord(x=tomo.x / scale, y=tomo.y / scale, C=tomo.C / scale)
+    direct_rec, units = scaled_record(measured.to_bloch_record(), mode, eps)
+    tomo_rec, _ = scaled_record(tomo, mode, eps)
     direct_report = report_from_record(direct_rec, 2, rho=rho, units=units)
     tomo_report = report_from_record(tomo_rec, 2, rho=rho, units=units)
 
@@ -146,8 +142,8 @@ def cmd_protocol(args) -> int:
 
     doc = {
         "budget": {"direct": direct_n, "tomography": tomo_n},
-        "x_est": measured.x_est / scale,
-        "c_est": measured.c_est / scale,
+        "x_est": direct_rec.x,
+        "c_est": direct_rec.C,
         "readout_count": measured.readout_count,
         "shots": measured.shots,
         "seed": measured.seed,
@@ -156,15 +152,16 @@ def cmd_protocol(args) -> int:
         "max_measure_difference": max_diff,
     }
     if args.shots is not None:
-        x_err = np.abs(measured.x_est - exact.x_est) / scale
-        c_err = np.abs(measured.c_est - exact.c_est) / scale
+        diff = BlochRecord(x=np.abs(measured.x_est - exact.x_est), y=np.zeros(3),
+                           C=np.abs(measured.c_est - exact.c_est))
+        err, _ = scaled_record(diff, mode, eps)
         print("statistical error (x readouts): "
-              + " ".join(format_float(v) for v in x_err))
-        for i, row in enumerate(c_err, start=1):
+              + " ".join(format_float(v) for v in err.x))
+        for i, row in enumerate(err.C, start=1):
             print(f"statistical error (c row {i}): "
                   + " ".join(format_float(v) for v in row))
-        doc["x_error"] = x_err
-        doc["c_error"] = c_err
+        doc["x_error"] = err.x
+        doc["c_error"] = err.C
     if args.output:
         Path(args.output).write_text(dump_json(doc) + "\n")
         log.info("wrote protocol report to %s", args.output)
@@ -210,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--t-max", dest="t_max", type=float, default=None)
     evolve.add_argument("--dt", type=float, default=None)
     evolve.add_argument("--points", type=int, default=None)
-    evolve.add_argument("--seed", type=int, default=None)
     evolve.add_argument("--epsilon", type=float, default=None)
     evolve.add_argument("--include-local-bloch", action=argparse.BooleanOptionalAction,
                         default=None)

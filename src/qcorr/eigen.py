@@ -1,10 +1,12 @@
-"""Deterministic eigensolvers for small symmetric / Hermitian matrices.
+"""Eigenvalues of small real symmetric and complex Hermitian matrices.
 
-Two solvers cover everything the package needs: a trigonometric
-(Cardano-style) closed form for real symmetric 3x3 matrices, and a
-cyclic complex Jacobi iteration for general Hermitian matrices up to
-dimension 64. Neither calls into LAPACK, so repeated runs produce
-bit-identical spectra.
+Both functions validate their input and hand it to LAPACK through
+``np.linalg.eigvalsh``, returning the spectrum in descending order.
+Because the solver shares no formula with the trigonometric closed form
+of the geometric discord, ``sym3_eigenvalues`` gives the discord an
+independent second route. Results are deterministic for a fixed numpy
+and BLAS/LAPACK build, like every matmul and QR in the package; they
+are not promised bit-identical across builds.
 """
 from __future__ import annotations
 
@@ -12,105 +14,23 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
-MAX_DIM = 64
-
-_MAX_SWEEPS = 60
-_OFF_NORM_TOL = 1e-14
-
-
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
 
 
 def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric 3x3 matrix, sorted descending.
-
-    Solves the characteristic cubic in closed form: with q = tr/3 and
-    p = sqrt(tr[(M - qI)^2]/6), the roots are q + 2p cos((phi + 2k pi)/3)
-    where cos(phi) is a normalized determinant of the deviatoric part.
-    Working with the deviatoric part (instead of raw power sums of the
-    trace) avoids catastrophic cancellation near degenerate spectra.
-    An exactly diagonal input short-circuits to its sorted diagonal.
-    """
+    """Eigenvalues of a real symmetric 3x3 matrix, sorted descending."""
     m = np.asarray(mat, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
-
-    off_sq = m[0, 1] ** 2 + m[0, 2] ** 2 + m[1, 2] ** 2
-    if off_sq == 0.0:
-        return np.array(sorted(np.diagonal(m), reverse=True))
-
-    q = float(np.trace(m)) / 3.0
-    p2 = float(np.sum((np.diagonal(m) - q) ** 2)) + 2.0 * off_sq
-    p = np.sqrt(p2 / 6.0)
-    r = np.clip(_det3((m - q * np.eye(3)) / p) / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    top = q + 2.0 * p * np.cos(phi)
-    bottom = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    middle = 3.0 * q - top - bottom
-    # round-off can swap near-degenerate middle/bottom at the 1e-16 level
-    return np.array(sorted((top, middle, bottom), reverse=True))
+    return np.linalg.eigvalsh(m)[::-1]
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix, sorted descending.
-
-    Cyclic Jacobi iteration: every sweep visits each off-diagonal pivot
-    (p, q) in a fixed order and annihilates it with a phased plane
-    rotation, so the result is deterministic. Convergence is quadratic;
-    sweeps stop once the off-diagonal Frobenius norm is negligible
-    relative to the matrix norm.
-    """
+    """Eigenvalues of a complex Hermitian matrix, sorted descending."""
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    a = a.copy()
-    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
-    idx = np.arange(n)
-    for _ in range(_MAX_SWEEPS):
-        off_part = np.abs(a) ** 2
-        off_part[idx, idx] = 0.0
-        if np.sqrt(np.sum(off_part)) <= _OFF_NORM_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                h = a[p, q]
-                if abs(h) == 0.0:
-                    continue
-                phase = h / abs(h)
-                app, aqq = a[p, p].real, a[q, q].real
-                if app == aqq:
-                    t = 1.0
-                else:
-                    tau = (aqq - app) / (2.0 * abs(h))
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 unitary [[c, s*phase], [-s*conj(phase), c]] on (p, q)
-                vqp = -s * np.conj(phase)
-                vpq = s * phase
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = colp * c + colq * vqp
-                a[:, q] = colp * vpq + colq * c
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + np.conj(vqp) * rowq
-                a[q, :] = np.conj(vpq) * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return np.array(sorted(np.diagonal(a).real, reverse=True))
+    return np.linalg.eigvalsh(a)[::-1]

@@ -15,7 +15,7 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -260,8 +260,6 @@ _CONFIG_KEYS = {
     "grid.t_max",
     "grid.dt",
     "grid.n_points",
-    "shots",
-    "seed",
     "include_local_bloch",
     "output",
     "format",
@@ -302,7 +300,7 @@ def _parse_bool(value: str, key: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved run configuration for the evolve/protocol commands."""
+    """Fully resolved run configuration for the evolve command."""
 
     state_file: str | None = None
     state_coeffs: tuple[float, float, float] | None = None
@@ -311,8 +309,6 @@ class ExperimentConfig:
     t_max: float | None = None
     dt: float | None = None
     n_points: int = 251
-    shots: int | None = None
-    seed: int | None = None
     include_local_bloch: bool = False
     output: str | None = None
     format: str = "csv"
@@ -322,8 +318,6 @@ class ExperimentConfig:
             raise ConfigError("give exactly one of a state file and inline coefficients")
         if self.t_max is not None and self.dt is not None:
             raise ConfigError("give at most one of grid.t_max and grid.dt")
-        if self.shots is not None and self.seed is None:
-            raise ConfigError("a seed is mandatory whenever shots is set")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.state_mode not in ("full", "deviation"):
@@ -371,10 +365,6 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
             cfg.dt = as_float(key, value)
         elif key == "grid.n_points":
             cfg.n_points = as_int(key, value)
-        elif key == "shots":
-            cfg.shots = as_int(key, value)
-        elif key == "seed":
-            cfg.seed = as_int(key, value)
         elif key == "include_local_bloch":
             cfg.include_local_bloch = _parse_bool(value, key)
         elif key == "output":
@@ -383,7 +373,7 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
             cfg.format = value
     if relax:
         try:
-            cfg.relaxation = RelaxationParams(**{**_relax_dict(cfg.relaxation), **relax})
+            cfg.relaxation = replace(cfg.relaxation, **relax)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad relaxation parameters: {exc}")
 
@@ -391,22 +381,10 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
         if value is None:
             continue
         if key == "epsilon":
-            cfg.relaxation = RelaxationParams(**{**_relax_dict(cfg.relaxation),
-                                                 "epsilon": value})
+            cfg.relaxation = replace(cfg.relaxation, epsilon=value)
         elif hasattr(cfg, key):
             setattr(cfg, key, value)
         else:
             raise ConfigError(f"unknown override {key!r}")
     cfg.validate()
     return cfg
-
-
-def _relax_dict(params: RelaxationParams) -> dict:
-    return {
-        "t1_a": params.t1_a,
-        "t2_a": params.t2_a,
-        "t1_b": params.t1_b,
-        "t2_b": params.t2_b,
-        "epsilon": params.epsilon,
-        "j_coupling": params.j_coupling,
-    }

@@ -4,12 +4,12 @@ Everything quadratic runs through the 3x3 Gram-type matrix
 S = (x x^T + C C^T) / (2d) built from the Bloch data: the geometric
 discord is D_G = 2 (tr[S] - k_max) with k_max the largest eigenvalue of
 S, evaluated both through the explicit trigonometric closed form and
-through the eigenvalue solver so each route can audit the other. The
-lower bound Q replaces the angular factor of the closed form by its
-theta = 0 limit. For Bell-diagonal two-qubit states the negativity of
-quantumness reduces to half the intermediate |c_i|, and the usual
-partial-transpose negativity (normalized to 1 on Bell states) is
-provided for two qubits.
+through LAPACK's symmetric eigensolver, two unrelated algorithms, so
+each route can audit the other. The lower bound Q replaces the angular
+factor of the closed form by its theta = 0 limit. For Bell-diagonal
+two-qubit states the negativity of quantumness reduces to half the
+intermediate |c_i|, and the usual partial-transpose negativity
+(normalized to 1 on Bell states) is provided for two qubits.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
-from .eigen import SYMMETRY_TOL, _det3, hermitian_eigenvalues, sym3_eigenvalues
+from .eigen import SYMMETRY_TOL, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
 #: is treated as fully degenerate and the angular factor is pinned to
@@ -82,6 +82,14 @@ def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:
     if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
         raise ValueError("S matrix is not symmetric within 1e-12")
     return s
+
+
+def _det3(m: np.ndarray) -> float:
+    return float(
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
 
 
 def _trace_invariants(s: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -211,24 +219,21 @@ def report_from_record(
     return CorrelationReport(d_g=d_g, q=q, theta=theta, q_n=q_n, negativity=neg, units=units)
 
 
-def full_report(
-    rho: np.ndarray,
-    d: int | None = None,
+def scaled_record(
+    record: BlochRecord,
     mode: str = "full",
     epsilon: float | None = None,
     include_local_bloch: bool = True,
-) -> CorrelationReport:
-    """All correlation measures of a state.
+) -> tuple[BlochRecord, str]:
+    """Bloch data in the units the measures are reported in, and those units.
 
-    In ``deviation`` mode the extracted x and C are divided by epsilon
-    before any measure is evaluated, so d_g and q come out in units of
-    eps^2 and q_n in units of eps. With ``include_local_bloch`` false the
-    local Bloch vectors are zeroed before building S, which evaluates the
-    measures on the correlation part alone (the treatment under which
-    Bell-diagonal dynamics stays Bell diagonal exactly).
+    In ``deviation`` mode x, y and C are divided by epsilon, so d_g and q
+    come out in units of eps^2 and q_n in units of eps. With
+    ``include_local_bloch`` false the local Bloch vectors are zeroed,
+    which evaluates the measures on the correlation part alone (the
+    treatment under which Bell-diagonal dynamics stays Bell diagonal
+    exactly). The arrays may carry leading stack axes.
     """
-    rho = np.asarray(rho, dtype=complex)
-    record = bloch_decompose(rho, d)
     if mode == "full":
         scale, units = 1.0, UNITS_FULL
     elif mode == "deviation":
@@ -237,10 +242,22 @@ def full_report(
         scale, units = epsilon, UNITS_DEVIATION
     else:
         raise ValueError(f"mode must be 'full' or 'deviation', got {mode!r}")
-    x = record.x / scale
-    y = record.y / scale
-    c = record.C / scale
-    if not include_local_bloch:
-        x = np.zeros_like(x)
-        y = np.zeros_like(y)
-    return report_from_record(BlochRecord(x=x, y=y, C=c), record.d, rho=rho, units=units)
+    if include_local_bloch:
+        x, y = record.x / scale, record.y / scale
+    else:
+        x, y = np.zeros_like(record.x), np.zeros_like(record.y)
+    return BlochRecord(x=x, y=y, C=record.C / scale), units
+
+
+def full_report(
+    rho: np.ndarray,
+    d: int | None = None,
+    mode: str = "full",
+    epsilon: float | None = None,
+    include_local_bloch: bool = True,
+) -> CorrelationReport:
+    """All correlation measures of a state, in the units of ``scaled_record``."""
+    rho = np.asarray(rho, dtype=complex)
+    record = bloch_decompose(rho, d)
+    scaled, units = scaled_record(record, mode, epsilon, include_local_bloch)
+    return report_from_record(scaled, record.d, rho=rho, units=units)

@@ -85,50 +85,51 @@ def _check_two_qubit(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _readout(rho: np.ndarray, nu: int, lam: int | None = None) -> float:
+    """sigma_1 (x) I readout of U rho U^dag, before any sign correction.
+
+    U = CNOT . (R_A (x) R_B) from the table entry (nu, lam), or the local
+    rotation R_nu (x) I when lam is None.
+    """
+    if lam is None:
+        pair = LOCAL_ROTATIONS.get(nu)
+        if pair is None:
+            raise ValueError(f"local index must lie in 1..3, got {nu}")
+        u = np.kron(rotation_gate(*pair), np.eye(2, dtype=complex))
+    else:
+        entry = ROTATION_TABLE.get((nu, lam))
+        if entry is None:
+            raise ValueError(f"correlation indices must lie in 1..3, got ({nu}, {lam})")
+        u = _CNOT @ np.kron(
+            rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
+        )
+    xi = u @ rho @ u.conj().T
+    return float(np.einsum("ij,ji->", _READOUT, xi).real)
+
+
 def _raw_expectations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-readout expectation of sigma_1 (x) I before sign correction.
 
     Returns (local 3-vector, correlation 3x3 raw values, signs).
     """
-    local = np.empty(3)
-    for nu, (axis, angle) in LOCAL_ROTATIONS.items():
-        u = np.kron(rotation_gate(axis, angle), np.eye(2, dtype=complex))
-        xi = u @ rho @ u.conj().T
-        local[nu - 1] = np.einsum("ij,ji->", _READOUT, xi).real
-    raw = np.empty((3, 3))
-    signs = np.empty((3, 3))
-    for (nu, lam), entry in ROTATION_TABLE.items():
-        u = _CNOT @ np.kron(
-            rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
-        )
-        xi = u @ rho @ u.conj().T
-        raw[nu - 1, lam - 1] = np.einsum("ij,ji->", _READOUT, xi).real
-        signs[nu - 1, lam - 1] = entry.sign
+    local = np.array([_readout(rho, nu) for nu in (1, 2, 3)])
+    raw = np.array([[_readout(rho, nu, lam) for lam in (1, 2, 3)] for nu in (1, 2, 3)])
+    signs = np.array(
+        [[float(ROTATION_TABLE[(nu, lam)].sign) for lam in (1, 2, 3)] for nu in (1, 2, 3)]
+    )
     return local, raw, signs
 
 
 def direct_correlation(rho: np.ndarray, nu: int, lam: int) -> float:
     """tr[(sigma_nu (x) sigma_lam) rho] via rotations, CNOT and one readout."""
     rho = _check_two_qubit(rho)
-    entry = ROTATION_TABLE.get((nu, lam))
-    if entry is None:
-        raise ValueError(f"correlation indices must lie in 1..3, got ({nu}, {lam})")
-    u = _CNOT @ np.kron(
-        rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
-    )
-    xi = u @ rho @ u.conj().T
-    return entry.sign * float(np.einsum("ij,ji->", _READOUT, xi).real)
+    value = _readout(rho, nu, lam)
+    return ROTATION_TABLE[(nu, lam)].sign * value
 
 
 def direct_local(rho: np.ndarray, nu: int) -> float:
     """tr[(sigma_nu (x) I) rho] via a single-qubit rotation and the readout."""
-    rho = _check_two_qubit(rho)
-    pair = LOCAL_ROTATIONS.get(nu)
-    if pair is None:
-        raise ValueError(f"local index must lie in 1..3, got {nu}")
-    u = np.kron(rotation_gate(*pair), np.eye(2, dtype=complex))
-    xi = u @ rho @ u.conj().T
-    return float(np.einsum("ij,ji->", _READOUT, xi).real)
+    return _readout(_check_two_qubit(rho), nu)
 
 
 @dataclass(frozen=True)

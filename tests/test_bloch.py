@@ -6,33 +6,31 @@ from hypothesis import strategies as st
 from qcorr import (
     BellDiagonalState,
     BlochRecord,
-    DeviationState,
     InvalidStateError,
     bloch_compose,
     bloch_decompose,
     check_density_matrix,
     gellmann_basis,
-    pauli_basis,
     random_density_matrix,
 )
 from qcorr.bloch import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def test_pauli_algebra():
-    sx, sy, sz = pauli_basis().generators
+    sx, sy, sz = PAULIS
     assert np.allclose(sz @ sz, np.eye(2), atol=0)
     assert abs(np.trace(sx @ sy)) == 0
     assert np.allclose(sx @ sy, 1j * sz, atol=0)
 
 
 def test_gellmann_d2_is_pauli():
-    for got, want in zip(gellmann_basis(2).generators, (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+    for got, want in zip(gellmann_basis(2), (SIGMA_X, SIGMA_Y, SIGMA_Z)):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gellmann_orthogonality_and_tracelessness(d):
-    gens = gellmann_basis(d).generators
+    gens = gellmann_basis(d)
     assert len(gens) == d * d - 1
     for a, ga in enumerate(gens):
         assert abs(np.trace(ga)) <= 1e-12
@@ -206,24 +204,6 @@ def test_bell_diagonal_deviation_needs_epsilon():
         state.density_matrix()
     rho = state.density_matrix(epsilon=1e-5)
     check_density_matrix(rho)
-
-
-def test_deviation_state_compose_and_validation():
-    delta = BellDiagonalState(0.2, -0.2, 0.2, mode="deviation").deviation_matrix()
-    dev = DeviationState(epsilon=1e-5, delta=delta)
-    assert abs(np.trace(dev.delta)) <= 1e-15
-    check_density_matrix(dev.compose())
-    with pytest.raises(ValueError, match="traceless"):
-        DeviationState(epsilon=1e-5, delta=np.eye(4))
-    with pytest.raises(ValueError, match="positive"):
-        DeviationState(epsilon=0.0, delta=delta)
-
-
-def test_deviation_state_rejects_overlarge_epsilon():
-    # strong "polarization" pushes I/4 + eps*delta out of the PSD cone
-    delta = np.diag([3.0, -1.0, -1.0, -1.0]).astype(complex)
-    with pytest.raises(InvalidStateError):
-        DeviationState(epsilon=0.9, delta=delta).compose()
 
 
 def test_paulis_are_read_only():

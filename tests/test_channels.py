@@ -17,7 +17,6 @@ from qcorr import (
     local_ptm,
     make_trajectory,
     pd_kraus,
-    pseudo_epr_transform,
     random_density_matrix,
 )
 from qcorr.bloch import PAULIS
@@ -48,6 +47,13 @@ def test_relaxation_validation():
         RelaxationParams(epsilon=0.0)
     with pytest.raises(ValueError):
         RelaxationParams(epsilon=1.5)
+    for name in ("t1_a", "t2_a", "t1_b", "t2_b", "epsilon", "j_coupling"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                RelaxationParams(**{name: value})
+    for value in (0.0, -215.1):
+        with pytest.raises(ValueError, match="j_coupling"):
+            RelaxationParams(j_coupling=value)
 
 
 def test_gad_identity_at_p_zero():
@@ -299,34 +305,3 @@ def test_j_coupling_leaves_bell_diagonal_states_invariant():
         for t in (1.0 / (4 * j), 3.0 / (4 * j), 0.37):
             u = j_coupling_unitary(j, t)
             assert np.max(np.abs(u @ rho @ u.conj().T - rho)) <= 1e-12
-
-
-def test_pseudo_epr_uniform_populations():
-    assert np.array_equal(pseudo_epr_transform([1, 1, 1, 1]), np.eye(4))
-
-
-def test_pseudo_epr_single_population():
-    want = 0.5 * np.array(
-        [[1, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1]], dtype=float
-    )
-    assert np.array_equal(pseudo_epr_transform([1, 0, 0, 0]), want)
-
-
-@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
-@settings(max_examples=60)
-def test_pseudo_epr_preserves_trace(pops):
-    out = pseudo_epr_transform(pops)
-    assert np.trace(out) == pytest.approx(sum(pops), abs=1e-12)
-    assert np.max(np.abs(out - out.T)) == 0
-
-
-def test_pseudo_epr_matches_bell_deviation_form():
-    # zero-sum populations produce exactly the X-shaped deviation of a
-    # Bell-diagonal description with c3 = 2(a + g), c1 -+ c2 = 2(g - a), 2(d - b)
-    pops = np.array([0.3, -0.1, 0.05, -0.25])
-    out = pseudo_epr_transform(pops)
-    c3 = 2 * (pops[0] + pops[2])
-    c1 = (pops[3] - pops[1]) + (pops[2] - pops[0])
-    c2 = (pops[3] - pops[1]) - (pops[2] - pops[0])
-    want = BellDiagonalState(c1, c2, c3, mode="deviation").deviation_matrix()
-    assert np.max(np.abs(out - want)) <= 1e-15

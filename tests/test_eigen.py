@@ -92,8 +92,3 @@ def test_jacobi_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigenvalues(m)
-
-
-def test_jacobi_rejects_oversized():
-    with pytest.raises(ValueError, match="maximum"):
-        hermitian_eigenvalues(np.eye(65))

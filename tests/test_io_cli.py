@@ -122,6 +122,9 @@ def test_config_unknown_key(tmp_path):
     cfg_file.write_text("gridd.n_points = 3\n")
     with pytest.raises(ConfigError, match="gridd.n_points"):
         parse_config_file(cfg_file)
+    cfg_file.write_text("shots = 100\n")
+    with pytest.raises(ConfigError, match="unknown config key 'shots'"):
+        parse_config_file(cfg_file)
 
 
 def test_config_consistency_rules():
@@ -129,8 +132,6 @@ def test_config_consistency_rules():
         build_config({})
     with pytest.raises(ConfigError, match="at most one"):
         build_config({"state.c": "0.1 0.1 0.1", "grid.t_max": "1", "grid.dt": "0.1"})
-    with pytest.raises(ConfigError, match="seed"):
-        build_config({"state.c": "0.1 0.1 0.1", "shots": "100"})
 
 
 def test_cli_measure_reference_state(tmp_path, capsys):
@@ -151,9 +152,8 @@ def test_cli_measure_matrix_file(tmp_path, capsys):
 
 
 def test_config_rejects_fractional_integers():
-    for key in ("grid.n_points", "shots", "seed"):
-        with pytest.raises(ConfigError, match=f"{key}.*integer"):
-            build_config({"state.c": "0.1 0.1 0.1", "seed": "1", key: "2.7"})
+    with pytest.raises(ConfigError, match="grid.n_points.*integer"):
+        build_config({"state.c": "0.1 0.1 0.1", "grid.n_points": "2.7"})
     cfg = build_config({"state.c": "0.1 0.1 0.1", "grid.n_points": "51.0"})
     assert cfg.n_points == 51
 
@@ -256,6 +256,20 @@ def test_cli_evolve_config_file(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert len(rows) == 40
     assert rows[0]["c1"] == pytest.approx(0.5, abs=1e-12)
+    for line, name in (("relaxation.j_coupling = 0", "j_coupling"),
+                       ("relaxation.t2_b = inf", "t2_b")):
+        bad = tmp_path / f"{name}.cfg"
+        bad.write_text(cfg.read_text() + line + "\n")
+        assert main(["evolve", "--config", str(bad)]) == 2
+        assert name in capsys.readouterr().err
+
+
+def test_cli_evolve_short_grid_writes_no_file(tmp_path, capsys):
+    path = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--state", path, "--output", str(out), "--points", "3"]) == 2
+    assert "at least 5 points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_protocol_budget_and_agreement(tmp_path, capsys):

@@ -176,6 +176,17 @@ def test_closed_form_matches_eigenvalue_route(seed, d):
     assert abs(closed - geometric_discord_eig(s)) <= 1e-9
 
 
+def test_eigenvalue_route_is_independent_of_closed_form():
+    # a doubly degenerate top eigenvalue puts the closed form's arccos at
+    # theta = pi, where it loses about half the digits; the spectral route
+    # must not share that weakness
+    rng = np.random.default_rng(2012)
+    for _ in range(200):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        s = q @ np.diag([0.2025, 0.2025, 0.16]) @ q.T
+        assert abs(geometric_discord_eig(s) - 2.0 * (np.trace(s) - 0.2025)) <= 1e-14
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150)
 def test_order_q_below_discord(seed):
