@@ -12,7 +12,9 @@ normalization the expansion
         + sum_{nu,lam} c_{nu,lam} sigma_nu (x) tau_lam / 4
 
 makes decomposition and composition exact mutual inverses (for d = 2 all
-prefactors reduce to the familiar 1/4).
+prefactors reduce to the familiar 1/4). ``bloch_decompose`` accepts a
+stack of states (leading axes before the matrix axes) and returns a
+record whose arrays carry the same leading axes.
 """
 from __future__ import annotations
 
@@ -48,7 +50,11 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class BlochRecord:
-    """Bloch data (x, y, C) of a 2 x d state."""
+    """Bloch data (x, y, C) of a 2 x d state, or of a stack of them.
+
+    The arrays may share leading stack axes: x has shape (..., 3),
+    y (..., d^2 - 1) and C (..., 3, d^2 - 1).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -56,7 +62,7 @@ class BlochRecord:
 
     @property
     def d(self) -> int:
-        return int(round(np.sqrt(len(self.y) + 1)))
+        return int(round(np.sqrt(self.y.shape[-1] + 1)))
 
 
 def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
@@ -112,29 +118,30 @@ def _operator_stack(d: int) -> np.ndarray:
 
 
 def _infer_d(rho: np.ndarray, d: int | None) -> int:
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    dim = rho.shape[-1]
     if d is None:
-        if rho.shape[0] % 2:
-            raise ValueError(f"total dimension {rho.shape[0]} is not 2*d")
-        d = rho.shape[0] // 2
-    if rho.shape[0] != 2 * d:
-        raise ValueError(f"state of dimension {rho.shape[0]} does not match 2*d with d={d}")
+        if dim % 2:
+            raise ValueError(f"total dimension {dim} is not 2*d")
+        d = dim // 2
+    if dim != 2 * d:
+        raise ValueError(f"state of dimension {dim} does not match 2*d with d={d}")
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
     return d
 
 
 def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
-    """Extract the Bloch data (x, y, C) of a 2 x d state."""
+    """Extract the Bloch data (x, y, C) of a 2 x d state or a stack of them."""
     rho = np.asarray(rho, dtype=complex)
     d = _infer_d(rho, d)
-    vals = np.einsum("aij,ji->a", _operator_stack(d), rho).real
+    vals = np.einsum("aij,...ji->...a", _operator_stack(d), rho).real
     nb = d * d - 1
     return BlochRecord(
-        x=vals[:3].copy(),
-        y=vals[3 : 3 + nb].copy(),
-        C=vals[3 + nb :].reshape(3, nb).copy(),
+        x=vals[..., :3].copy(),
+        y=vals[..., 3 : 3 + nb].copy(),
+        C=vals[..., 3 + nb :].reshape(vals.shape[:-1] + (3, nb)).copy(),
     )
 
 

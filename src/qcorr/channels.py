@@ -241,16 +241,12 @@ def make_trajectory(
     times = np.arange(n_points) * dt
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
     r = _relax(np.diag([1.0, *coeffs0]), times, params)
-    states = list(_states(r))
+    states = _states(r)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
     rec, units = scaled_record(stacked, state0.mode, params.epsilon, include_local_bloch)
-    reports = [
-        report_from_record(BlochRecord(x=rec.x[i], y=rec.y[i], C=rec.C[i]), 2,
-                           rho=states[i], units=units)
-        for i in range(n_points)
-    ]
+    reports = report_from_record(rec, 2, rho=states, units=units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
-    return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
+    return Trajectory(times=times, states=list(states), bell_coeffs=coeffs, reports=reports)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ DEFAULT_EPSILON = 1e-5
 
 def _state_to_matrix(state, epsilon: float | None):
     """Full density matrix plus (mode, epsilon) bookkeeping for a loaded state."""
+    if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"--epsilon must be positive and finite, got {epsilon}")
     if state.kind == "matrix":
         return state.matrix, "full", None
     if state.bell.mode == "deviation":
@@ -120,7 +122,6 @@ def cmd_protocol(args) -> int:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else args.seed
     measured = run_direct_protocol(rho, shots=args.shots, seed=seed)
-    exact = run_direct_protocol(rho)
     tomo = bloch_decompose(rho, 2)
 
     direct_rec, units = scaled_record(measured.to_bloch_record(), mode, eps)
@@ -152,6 +153,7 @@ def cmd_protocol(args) -> int:
         "max_measure_difference": max_diff,
     }
     if args.shots is not None:
+        exact = run_direct_protocol(rho)
         diff = BlochRecord(x=np.abs(measured.x_est - exact.x_est), y=np.zeros(3),
                            C=np.abs(measured.c_est - exact.c_est))
         err, _ = scaled_record(diff, mode, eps)

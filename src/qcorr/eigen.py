@@ -1,7 +1,9 @@
 """Eigenvalues of small real symmetric and complex Hermitian matrices.
 
 Both functions validate their input and hand it to LAPACK through
-``np.linalg.eigvalsh``, returning the spectrum in descending order.
+``np.linalg.eigvalsh``, returning the spectrum in descending order along
+the last axis. Leading stack axes are allowed and every matrix of a
+stack is checked; a single matrix is the one-item case.
 Because the solver shares no formula with the trigonometric closed form
 of the geometric discord, ``sym3_eigenvalues`` gives the discord an
 independent second route. Results are deterministic for a fixed numpy
@@ -17,20 +19,20 @@ HERMITICITY_TOL = 1e-12
 
 
 def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric 3x3 matrix, sorted descending."""
+    """Eigenvalues of real symmetric 3x3 matrices, sorted descending."""
     m = np.asarray(mat, dtype=float)
-    if m.shape != (3, 3):
+    if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.linalg.eigvalsh(m)[..., ::-1]
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix, sorted descending."""
+    """Eigenvalues of complex Hermitian matrices, sorted descending."""
     a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    return np.linalg.eigvalsh(a)[::-1]
+    return np.linalg.eigvalsh(a)[..., ::-1]

@@ -348,6 +348,8 @@ def build_config(raw: dict[str, str], overrides: dict | None = None) -> Experime
         return int(number)
 
     for key, value in raw.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
         if key == "state.file":
             cfg.state_file = value
         elif key == "state.c":

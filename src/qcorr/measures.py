@@ -10,10 +10,15 @@ factor of the closed form by its theta = 0 limit. For Bell-diagonal
 two-qubit states the negativity of quantumness reduces to half the
 intermediate |c_i|, and the usual partial-transpose negativity
 (normalized to 1 on Bell states) is provided for two qubits.
+
+Every measure accepts leading stack axes (a stack of records, S
+matrices or states) and then returns one value per item as an array;
+a single input is the one-item case and returns plain numbers, with
+None where a stack holds NaN.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,6 +48,11 @@ class CorrelationReport:
     tolerance; ``negativity`` is None for d > 2. ``units`` records the
     power of the thermal polarization the numbers carry: quadratic
     measures (d_g, q) scale as eps^2 and q_n as eps^1 in deviation mode.
+
+    d_g and q are not clamped at zero: on zero-discord states they may
+    come out negative at round-off level (c = (1, 0, 0) gives d_g =
+    -5.6e-17), so that cross-checks such as the batch campaigns see the
+    raw round-off.
     """
 
     d_g: float
@@ -53,59 +63,53 @@ class CorrelationReport:
     units: str
 
     def as_record(self) -> dict:
-        return {
-            "d_g": self.d_g,
-            "q": self.q,
-            "theta": self.theta,
-            "q_n": self.q_n,
-            "negativity": self.negativity,
-            "units": self.units,
-        }
+        return asdict(self)
 
 
 def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
-    """S = (x x^T + C C^T) / (2d); real symmetric PSD 3x3."""
+    """S = (x x^T + C C^T) / (2d); real symmetric PSD 3x3, one per record."""
     if d is None:
         d = record.d
-    nb = d * d - 1
-    if record.x.shape != (3,) or record.C.shape != (3, nb):
-        raise ValueError(
-            f"record shapes {record.x.shape}/{record.C.shape} do not match d={d}"
-        )
-    return (np.outer(record.x, record.x) + record.C @ record.C.T) / (2.0 * d)
+    x, c = record.x, record.C
+    if x.shape[-1:] != (3,) or c.shape != x.shape[:-1] + (3, d * d - 1):
+        raise ValueError(f"record shapes {x.shape}/{c.shape} do not match d={d}")
+    return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
 
 
 def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:
     s = np.asarray(s_mat, dtype=float)
-    if s.shape != (3, 3):
+    if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    if np.max(np.abs(s - s.T)) > SYMMETRY_TOL:
+    if np.max(np.abs(s - np.swapaxes(s, -1, -2))) > SYMMETRY_TOL:
         raise ValueError("S matrix is not symmetric within 1e-12")
     return s
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
+def _det3(m: np.ndarray) -> np.ndarray:
+    m = np.moveaxis(m, (-2, -1), (0, 1))
+    return (
         m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
     )
 
 
-def _trace_invariants(s: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _trace_invariants(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tr[S], tr[dev^2], dev) with dev the traceless part of S.
 
     tr[dev^2] = tr[S^2] - tr[S]^2/3 is evaluated as a sum of squares, so
     the radical 6 tr[S^2] - 2 tr[S]^2 = 6 tr[dev^2] of the closed form
     can never go negative through rounding.
     """
-    t1 = float(np.trace(s))
-    dev = s - (t1 / 3.0) * np.eye(3)
-    m2 = float(np.sum(dev * dev))
+    t1 = np.trace(s, axis1=-2, axis2=-1)
+    dev = s - (t1 / 3.0)[..., None, None] * np.eye(3)
+    m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
     return t1, m2, dev
 
 
-def geometric_discord_closed(s_mat: np.ndarray) -> tuple[float, float | None]:
+def geometric_discord_closed(
+    s_mat: np.ndarray,
+) -> tuple[float | np.ndarray, float | np.ndarray | None]:
     """Geometric discord from the closed form, with the angle it used.
 
     D_G = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2) cos(theta/3),
@@ -116,25 +120,30 @@ def geometric_discord_closed(s_mat: np.ndarray) -> tuple[float, float | None]:
     deviatoric part of S and p = sqrt(tr[dev^2]/6), which is the same
     number written without the cancellation-prone power sums, and is
     clamped to [-1, 1] against round-off. Degenerate spectra (where the
-    argument is 0/0) take theta = 0 and return None for the angle.
+    argument is 0/0) take theta = 0 and return None for the angle (NaN
+    in a stack).
     """
     s = _check_smatrix(s_mat)
     t1, m2, dev = _trace_invariants(s)
     p = np.sqrt(m2 / 6.0)
-    if 3.0 * m2 <= DEGENERATE_SPREAD_TOL:
-        return (4.0 / 3.0) * t1 - 4.0 * p, None
-    r = float(np.clip(_det3(dev / p) / 2.0, -1.0, 1.0))
-    theta = float(np.arccos(r))
-    return (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0), theta
+    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
+    unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
+    r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
+    theta = np.arccos(r)
+    d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
+    if s.ndim == 2:
+        return d_g, None if degenerate else float(theta)
+    return d_g, np.where(degenerate, np.nan, theta)
 
 
-def geometric_discord_eig(s_mat: np.ndarray) -> float:
+def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
     """Geometric discord via the spectrum: 2 (tr[S] - k_max)."""
     s = _check_smatrix(s_mat)
-    return 2.0 * (float(np.trace(s)) - float(sym3_eigenvalues(s)[0]))
+    d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - sym3_eigenvalues(s)[..., 0])
+    return float(d_g) if s.ndim == 2 else d_g
 
 
-def q_lower_bound(s_mat: np.ndarray) -> float:
+def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     """Tight lower bound on the geometric discord (theta = 0 limit).
 
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2); the radical is
@@ -145,29 +154,31 @@ def q_lower_bound(s_mat: np.ndarray) -> float:
     return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
 
 
-def negativity_of_quantumness_bell(state) -> float:
+def negativity_of_quantumness_bell(state) -> float | np.ndarray:
     """Negativity of quantumness of a Bell-diagonal state: middle |c_i| / 2.
 
-    Accepts a BellDiagonalState or a length-3 coefficient sequence.
+    Accepts a BellDiagonalState or a coefficient array of shape (..., 3).
     """
     if isinstance(state, BellDiagonalState):
         coeffs = state.coefficients
     else:
         coeffs = np.asarray(state, dtype=float)
-        if coeffs.shape != (3,):
+        if coeffs.shape[-1:] != (3,):
             raise ValueError(f"expected 3 Bell coefficients, got shape {coeffs.shape}")
-    return float(np.sort(np.abs(coeffs))[1]) / 2.0
+    q_n = np.sort(np.abs(coeffs), axis=-1)[..., 1] / 2.0
+    return float(q_n) if coeffs.ndim == 1 else q_n
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose of a two-qubit state over the second qubit."""
+    """Partial transpose of two-qubit states over the second qubit."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial transpose implemented for dim 4 only, got {rho.shape}")
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    lead = rho.shape[:-2]
+    return np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -3, -1).reshape(lead + (4, 4))
 
 
-def negativity(rho: np.ndarray) -> float:
+def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Entanglement negativity of a two-qubit state, normalized so N(Bell) = 1.
 
     N = 2 sum |negative eigenvalues of the partial transpose|; zero for
@@ -175,22 +186,26 @@ def negativity(rho: np.ndarray) -> float:
     D_G >= N^2 in general.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"negativity implemented for two qubits only, got shape {rho.shape}")
     eigs = hermitian_eigenvalues(partial_transpose(rho))
-    return float(2.0 * np.sum(np.abs(eigs[eigs < 0.0])))
+    neg = 2.0 * np.sum(np.where(eigs < 0.0, np.abs(eigs), 0.0), axis=-1)
+    return float(neg) if rho.ndim == 2 else neg
 
 
-def is_bell_diagonal(record: BlochRecord, tol: float = BELL_DIAGONAL_TOL) -> bool:
+def is_bell_diagonal(record: BlochRecord, tol: float = BELL_DIAGONAL_TOL) -> bool | np.ndarray:
     """True when x, y and the off-diagonal part of C vanish within tol (d = 2)."""
+    lead = record.x.shape[:-1]
     if record.d != 2:
-        return False
-    off = record.C - np.diag(np.diagonal(record.C))
-    return bool(
-        np.max(np.abs(record.x)) <= tol
-        and np.max(np.abs(record.y)) <= tol
-        and np.max(np.abs(off)) <= tol
-    )
+        bell = np.zeros(lead, dtype=bool)
+    else:
+        off = record.C * (1.0 - np.eye(3))  # keeps a non-finite diagonal visible
+        bell = (
+            (np.max(np.abs(record.x), axis=-1) <= tol)
+            & (np.max(np.abs(record.y), axis=-1) <= tol)
+            & (np.max(np.abs(off), axis=(-2, -1)) <= tol)
+        )
+    return bool(bell) if not lead else bell
 
 
 def report_from_record(
@@ -198,25 +213,41 @@ def report_from_record(
     d: int | None = None,
     rho: np.ndarray | None = None,
     units: str = UNITS_FULL,
-) -> CorrelationReport:
+) -> CorrelationReport | list[CorrelationReport]:
     """Assemble a CorrelationReport from (already scaled) Bloch data.
 
     q_n is only filled in when the record is Bell diagonal within
     tolerance; negativity is evaluated on the accompanying full-state
-    matrix when one is given and the system is two qubits.
+    matrix when one is given and the system is two qubits. A stacked
+    record, with a matching stack of states if any, gives a flat list of
+    reports in C order; a single record is its one-item case.
     """
+    single = record.x.ndim == 1
+    if single:
+        record = BlochRecord(x=record.x[None], y=record.y[None], C=record.C[None])
+        rho = None if rho is None else rho[None]
     if d is None:
         d = record.d
     s = s_matrix(record, d)
     d_g, theta = geometric_discord_closed(s)
     q = q_lower_bound(s)
-    q_n = None
-    if is_bell_diagonal(record):
-        q_n = negativity_of_quantumness_bell(np.diagonal(record.C))
+    bell = is_bell_diagonal(record)
+    q_n = negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1))
     neg = None
-    if rho is not None and rho.shape == (4, 4):
+    if rho is not None and rho.shape[-2:] == (4, 4):
         neg = negativity(rho)
-    return CorrelationReport(d_g=d_g, q=q, theta=theta, q_n=q_n, negativity=neg, units=units)
+    reports = [
+        CorrelationReport(
+            d_g=d_g[i],
+            q=q[i],
+            theta=None if np.isnan(theta[i]) else float(theta[i]),
+            q_n=float(q_n[i]) if bell[i] else None,
+            negativity=None if neg is None else float(neg[i]),
+            units=units,
+        )
+        for i in np.ndindex(bell.shape)
+    ]
+    return reports[0] if single else reports
 
 
 def scaled_record(

@@ -107,17 +107,10 @@ def _readout(rho: np.ndarray, nu: int, lam: int | None = None) -> float:
     return float(np.einsum("ij,ji->", _READOUT, xi).real)
 
 
-def _raw_expectations(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-readout expectation of sigma_1 (x) I before sign correction.
-
-    Returns (local 3-vector, correlation 3x3 raw values, signs).
-    """
-    local = np.array([_readout(rho, nu) for nu in (1, 2, 3)])
-    raw = np.array([[_readout(rho, nu, lam) for lam in (1, 2, 3)] for nu in (1, 2, 3)])
-    signs = np.array(
-        [[float(ROTATION_TABLE[(nu, lam)].sign) for lam in (1, 2, 3)] for nu in (1, 2, 3)]
-    )
-    return local, raw, signs
+#: the protocol's readouts in run order: the 9 correlators row-major, then the 3 locals
+_READOUTS = [(nu, lam) for nu in (1, 2, 3) for lam in (1, 2, 3)]
+_READOUTS += [(nu, None) for nu in (1, 2, 3)]
+_SIGNS = np.array([float(ROTATION_TABLE[pair].sign) for pair in _READOUTS[:9]]).reshape(3, 3)
 
 
 def direct_correlation(rho: np.ndarray, nu: int, lam: int) -> float:
@@ -176,25 +169,16 @@ def run_direct_protocol(
     rho = _check_two_qubit(rho)
     if shots is not None and shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    local, raw, signs = _raw_expectations(rho)
-    if shots is None:
-        return MeasurementRecord(
-            x_est=local, c_est=raw * signs, readout_count=12, shots=None, seed=None
-        )
-    children = np.random.SeedSequence(seed).spawn(12)
-    for k, (nu, lam) in enumerate((n, l) for n in (1, 2, 3) for l in (1, 2, 3)):
-        rng = np.random.default_rng(children[k])
-        # expectation can stick out of [-1, 1] by round-off
-        prob = float(np.clip((1.0 + raw[nu - 1, lam - 1]) / 2.0, 0.0, 1.0))
-        ups = rng.binomial(shots, prob)
-        raw[nu - 1, lam - 1] = 2.0 * ups / shots - 1.0
-    for k, nu in enumerate((1, 2, 3)):
-        rng = np.random.default_rng(children[9 + k])
-        prob = float(np.clip((1.0 + local[nu - 1]) / 2.0, 0.0, 1.0))
-        ups = rng.binomial(shots, prob)
-        local[nu - 1] = 2.0 * ups / shots - 1.0
+    readouts = np.array([_readout(rho, nu, lam) for nu, lam in _READOUTS])
+    if shots is not None:
+        for k, child in enumerate(np.random.SeedSequence(seed).spawn(len(_READOUTS))):
+            # expectation can stick out of [-1, 1] by round-off
+            prob = float(np.clip((1.0 + readouts[k]) / 2.0, 0.0, 1.0))
+            ups = np.random.default_rng(child).binomial(shots, prob)
+            readouts[k] = 2.0 * ups / shots - 1.0
     return MeasurementRecord(
-        x_est=local, c_est=raw * signs, readout_count=12, shots=shots, seed=seed
+        x_est=readouts[9:], c_est=readouts[:9].reshape(3, 3) * _SIGNS,
+        readout_count=len(_READOUTS), shots=shots, seed=None if shots is None else seed,
     )
 
 

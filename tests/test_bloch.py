@@ -76,6 +76,14 @@ def test_decompose_dimension_mismatch():
         bloch_decompose(np.eye(5) / 5.0)
 
 
+def test_stacked_record_dimension():
+    rec = BlochRecord(x=np.zeros((51, 3)), y=np.zeros((51, 3)), C=np.zeros((51, 3, 3)))
+    assert rec.d == 2
+    stacked = bloch_decompose(np.array([random_density_matrix(6, seed=s) for s in range(4)]))
+    assert stacked.d == 3
+    assert stacked.x.shape == (4, 3) and stacked.C.shape == (4, 3, 8)
+
+
 def test_compose_zero_record_is_maximally_mixed():
     rec = BlochRecord(x=np.zeros(3), y=np.zeros(3), C=np.zeros((3, 3)))
     assert np.allclose(bloch_compose(rec), np.eye(4) / 4.0, atol=0)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import BellDiagonalState, random_density_matrix
 from qcorr.cli import main
@@ -125,6 +129,8 @@ def test_config_unknown_key(tmp_path):
     cfg_file.write_text("shots = 100\n")
     with pytest.raises(ConfigError, match="unknown config key 'shots'"):
         parse_config_file(cfg_file)
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        build_config({"state.c": "0.1 0.1 0.1", "bogus": "x"})
 
 
 def test_config_consistency_rules():
@@ -176,6 +182,14 @@ def test_cli_measure_infinite_bell_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "'c'" in captured.err and "non-finite" in captured.err
     assert captured.out == ""
+    # a bad --epsilon is a bad flag, not a bad state
+    rho2 = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
+    for command in ("measure", "protocol"):
+        for eps in ("inf", "nan", "0", "-1"):
+            assert main([command, "--state", rho2, "--epsilon", eps]) == 2
+            captured = capsys.readouterr()
+            assert "--epsilon" in captured.err
+            assert captured.out == ""
 
 
 def test_cli_measure_bool_coefficient_exit_2(tmp_path, capsys):
@@ -337,3 +351,63 @@ def test_log_env_var_does_not_change_output(tmp_path, monkeypatch, capsys):
     assert main(["evolve", "--state", path, "--output", str(out2), "--points", "30"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _shifted_state(seed, shift):
+    """A valid two-qubit state document with ``shift`` added to every real part,
+    so that some fuzzed documents pass every check."""
+    rho = random_density_matrix(4, seed=seed)
+    return {"kind": "matrix", "dim": 4, "re": (rho.real + shift).tolist(),
+            "im": rho.imag.tolist()}
+
+
+_NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e-320, 0.25]),
+    st.booleans(),
+    st.text(max_size=3),
+)
+_MATRICES = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(_NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_STATE_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("bell"),
+        "c": st.lists(_NUMBERS, min_size=2, max_size=4),
+        "mode": st.sampled_from(["full", "deviation", "weird"]),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("matrix"),
+        "dim": st.one_of(st.integers(-1, 6), _NUMBERS),
+        "re": _MATRICES,
+        "im": _MATRICES,
+    }),
+    st.builds(_shifted_state, st.integers(0, 2**16),
+              st.sampled_from([0.0, 1e-13, 1e-3, float("nan")])),
+    st.dictionaries(st.sampled_from(["kind", "c", "re", "dim"]), _NUMBERS, max_size=3),
+    st.lists(_NUMBERS, max_size=3),
+)
+_EPSILONS = st.one_of(
+    st.none(),
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-5", "0.5", "1", "1e300", "x"]),
+)
+
+
+@given(st.sampled_from(["measure", "protocol"]), _STATE_DOCS, _EPSILONS)
+@settings(max_examples=150)
+def test_cli_fuzz_state_documents(tmp_path_factory, command, doc, epsilon):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity literals included
+    argv = [command, "--state", str(path)]
+    if epsilon is not None:
+        argv += ["--epsilon", epsilon]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a non-numeric --epsilon
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        printed = out.getvalue().lower()
+        assert "nan" not in printed and "inf" not in printed, printed

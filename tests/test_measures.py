@@ -17,7 +17,9 @@ from qcorr import (
     q_lower_bound,
     random_density_matrix,
     random_unitary,
+    report_from_record,
     s_matrix,
+    sym3_eigenvalues,
 )
 
 
@@ -165,8 +167,6 @@ def test_is_bell_diagonal_gate():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 @settings(max_examples=150)
 def test_closed_form_matches_eigenvalue_route(seed, d):
-    from qcorr import sym3_eigenvalues
-
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(2 * d, rank=int(rng.integers(1, 2 * d + 1)), seed=rng)
     s = s_matrix(bloch_decompose(rho, d), d)
@@ -235,3 +235,46 @@ def test_report_units_annotation():
     rep = full_report(np.eye(4) / 4.0)
     assert rep.units == "eps^0"
     assert set(rep.as_record()) == {"d_g", "q", "theta", "q_n", "negativity", "units"}
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.integers(1, 12))
+@settings(max_examples=60)
+def test_stacked_measures_equal_single_calls(seed, d, n):
+    # one stack through every measure must reproduce the one-state calls
+    # exactly; Bell-diagonal states (a degenerate S, q_n defined) are mixed in
+    rng = np.random.default_rng(seed)
+    rhos = [random_density_matrix(2 * d, rank=int(rng.integers(1, 2 * d + 1)), seed=rng)
+            for _ in range(n)]
+    if d == 2:
+        rhos[0] = BellDiagonalState(0.2, -0.2, 0.2).density_matrix()
+        rhos[-1] = random_bell_state(rng).density_matrix()
+    rhos = np.array(rhos)
+    records = bloch_decompose(rhos, d)
+    s = s_matrix(records, d)
+    closed, theta = geometric_discord_closed(s)
+    stacked = {
+        "eig": geometric_discord_eig(s),
+        "q": q_lower_bound(s),
+        "sym3": sym3_eigenvalues(s),
+        "bell": is_bell_diagonal(records),
+    }
+    reports = report_from_record(records, d, rho=rhos)
+    assert len(reports) == n
+    if d == 2:
+        stacked["negativity"] = negativity(rhos)
+    for i in range(n):
+        record = bloch_decompose(rhos[i], d)
+        for field in ("x", "y", "C"):
+            assert np.array_equal(getattr(records, field)[i], getattr(record, field))
+        s_i = s_matrix(record, d)
+        assert np.array_equal(s[i], s_i)
+        closed_i, theta_i = geometric_discord_closed(s_i)
+        assert closed[i] == closed_i
+        assert np.isnan(theta[i]) if theta_i is None else theta[i] == theta_i
+        assert stacked["eig"][i] == geometric_discord_eig(s_i)
+        assert stacked["q"][i] == q_lower_bound(s_i)
+        assert np.array_equal(stacked["sym3"][i], sym3_eigenvalues(s_i))
+        assert stacked["bell"][i] == is_bell_diagonal(record)
+        if d == 2:
+            assert stacked["negativity"][i] == negativity(rhos[i])
+        assert reports[i] == report_from_record(record, d, rho=rhos[i])
