@@ -55,11 +55,10 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
     children = iter(np.random.SeedSequence(seed).spawn(len(dims) + 2))
 
     def draw(d: int, max_rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n states of one campaign, drawn one by one from its own stream with
+        """n states of one campaign, drawn in one block from its own stream with
         ranks cycling through 1..max_rank, their S matrices and closed-form discord."""
-        rng = np.random.default_rng(next(children))
-        rhos = np.array([random_density_matrix(2 * d, rank=1 + i % max_rank, seed=rng)
-                         for i in range(n)])
+        rhos = random_density_matrix(2 * d, rank=1 + np.arange(n) % max_rank,
+                                     seed=np.random.default_rng(next(children)))
         s = s_matrix(bloch_decompose(rhos, d), d)
         return rhos, s, geometric_discord_closed(s)[0]
 

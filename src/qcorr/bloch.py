@@ -14,7 +14,8 @@ normalization the expansion
 makes decomposition and composition exact mutual inverses (for d = 2 all
 prefactors reduce to the familiar 1/4). ``bloch_decompose`` accepts a
 stack of states (leading axes before the matrix axes) and returns a
-record whose arrays carry the same leading axes.
+record whose arrays carry the same leading axes; ``random_density_matrix``
+draws a stack with the states and random stream of one call per state.
 """
 from __future__ import annotations
 
@@ -170,9 +171,11 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
         raise InvalidStateError(f"{name}: expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError(f"{name}: matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+    with np.errstate(over="ignore"):  # entries near the float limit: inf fails the checks
+        asymmetry = np.max(np.abs(rho - rho.conj().T))
+        tr = complex(np.trace(rho))
+    if asymmetry > HERMITICITY_TOL:
         raise InvalidStateError(f"{name}: matrix is not Hermitian within {HERMITICITY_TOL}")
-    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"{name}: trace {tr.real!r} differs from 1 beyond {TRACE_TOL}")
     smallest = float(hermitian_eigenvalues(rho)[-1])
@@ -183,34 +186,41 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
         )
 
 
-def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_density_matrix(
-    dim: int, rank: int | None = None, seed: int | np.random.Generator = 0
+    dim: int, rank: int | np.ndarray | None = None, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
     """Random density matrix G G^dag / tr[G G^dag] with Ginibre G (dim x rank).
 
-    Deterministic for a fixed integer seed; a Generator may be passed
-    instead to draw several states from one stream.
+    ``rank`` (default dim) is an int in [1, dim] for one (dim, dim) state, or a
+    1-D int sequence for a (len(rank), dim, dim) stack, one state per entry and
+    bit for bit the states one-at-a-time calls draw from the same stream.
+    Deterministic for a fixed integer seed; a Generator may be passed instead.
     """
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
+    ranks = np.asarray(dim if rank is None else rank)
+    if ranks.ndim > 1 or ranks.size == 0 or ranks.dtype.kind not in "iu":
+        raise ValueError(f"rank must be an integer or a 1-D integer sequence, got {rank!r}")
+    values = ranks.ravel().tolist()  # builtin min/max: cheaper than numpy's on one rank
+    if min(values) < 1 or max(values) > dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    rng = _as_generator(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
+    rng = np.random.default_rng(seed)  # returns a Generator as it is
+    if len(set(values)) == 1:  # n states of one rank take normals in (n, 2, dim, rank) order
+        groups = [(slice(None), rng.standard_normal((ranks.size, 2, dim, values[0])))]
+    else:  # one matmul per rank: zero-padding G to one rank changes the BLAS sum order
+        z = rng.standard_normal(2 * dim * sum(values))
+        owner = np.repeat(values, 2 * dim * np.array(values))  # int64 even for uint8 ranks
+        groups = [(ranks == r, z[owner == r].reshape(-1, 2, dim, r)) for r in set(values)]
+    rho = np.empty((ranks.size, dim, dim), dtype=complex)
+    for rows, normals in groups:
+        g = normals[:, 0] + 1j * normals[:, 1]
+        h = g @ g.conj().swapaxes(1, 2)
+        h /= h.trace(axis1=1, axis2=2).real[:, None, None]
+        rho[rows] = (h + h.conj().swapaxes(1, 2)) / 2.0
+    return rho.reshape(ranks.shape + (dim, dim))
 
 
 def random_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:
     """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
@@ -272,8 +282,11 @@ class BellDiagonalState:
 
     def density_matrix(self, epsilon: float | None = None) -> np.ndarray:
         """The physical 4x4 state; deviation mode requires epsilon."""
-        if self.mode == "full":
-            return np.eye(4, dtype=complex) / 4.0 + self.deviation_matrix()
-        if epsilon is None:
+        if self.mode == "deviation" and epsilon is None:
             raise ValueError("epsilon is required to compose a deviation-mode state")
-        return np.eye(4, dtype=complex) / 4.0 + epsilon * self.deviation_matrix()
+        scale = 1.0 if self.mode == "full" else epsilon
+        with np.errstate(over="ignore", invalid="ignore"):  # huge c: rejected below
+            rho = np.eye(4, dtype=complex) / 4.0 + scale * self.deviation_matrix()
+        if not np.isfinite(rho).all():
+            raise InvalidStateError(f"Bell coefficients {self.c1, self.c2, self.c3} overflow")
+        return rho

@@ -156,8 +156,9 @@ def _relax(r0: np.ndarray, times, params: RelaxationParams | None) -> np.ndarray
     if params is None:
         params = RelaxationParams()
     gamma = 0.5 - params.epsilon / 2.0
-    t_a = local_ptm(-np.expm1(-times / params.t1_a), gamma, -np.expm1(-times / params.t2_a))
-    t_b = local_ptm(-np.expm1(-times / params.t1_b), gamma, -np.expm1(-times / params.t2_b))
+    with np.errstate(over="ignore"):  # t/T = inf (subnormal T) is full relaxation
+        t_a = local_ptm(-np.expm1(-times / params.t1_a), gamma, -np.expm1(-times / params.t2_a))
+        t_b = local_ptm(-np.expm1(-times / params.t1_b), gamma, -np.expm1(-times / params.t2_b))
     return t_a @ r0 @ np.swapaxes(t_b, -1, -2)
 
 
@@ -232,8 +233,8 @@ def make_trajectory(
         dt = t_max / (n_points - 1)
     elif dt is None:
         dt = 1.0 / (4.0 * params.j_coupling)
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (0 < dt and (n_points - 1) * dt < np.inf):
+        raise ValueError(f"dt must be positive and finite over {n_points} points, got {dt}")
 
     coeffs0 = state0.coefficients
     if state0.mode == "deviation":

@@ -138,8 +138,9 @@ def geometric_discord_closed(
 
 def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
     """Geometric discord via the spectrum: 2 (tr[S] - k_max)."""
-    s = _check_smatrix(s_mat)
-    d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - sym3_eigenvalues(s)[..., 0])
+    k_max = sym3_eigenvalues(s_mat)[..., 0]  # checks the shape and symmetry of S
+    s = np.asarray(s_mat, dtype=float)
+    d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
     return float(d_g) if s.ndim == 2 else d_g
 
 

@@ -1,0 +1,52 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcorr import (bloch_decompose, geometric_discord_closed, geometric_discord_eig,
+                   negativity, q_lower_bound, random_density_matrix, s_matrix)
+from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL, \
+    CampaignResult, run_batch_campaigns
+
+
+def one_at_a_time_campaigns(n, seed, dims):
+    """run_batch_campaigns rebuilt from single draws and single-state measures."""
+    children = iter(np.random.SeedSequence(seed).spawn(len(dims) + 2))
+
+    def draw(d, max_rank):
+        rng = np.random.default_rng(next(children))
+        rhos = [random_density_matrix(2 * d, rank=1 + i % max_rank, seed=rng) for i in range(n)]
+        return [(rho, s_matrix(bloch_decompose(rho, d), d)) for rho in rhos]
+
+    def campaign(name, values, tol):
+        return CampaignResult(name, n, sum(v > tol for v in values), float(max(values)), tol)
+
+    results = []
+    for d in dims:
+        samples = draw(d, 2 * d)
+        closed = [geometric_discord_closed(s)[0] for _, s in samples]
+        results.append(campaign(f"closed_vs_eig[d={d}]",
+                                [abs(c - geometric_discord_eig(s))
+                                 for c, (_, s) in zip(closed, samples)], CLOSED_VS_EIG_TOL))
+        results.append(campaign(f"order_q_le_dg[d={d}]",
+                                [q_lower_bound(s) - c for c, (_, s) in zip(closed, samples)],
+                                ORDER_TOL))
+    mixed = [(negativity(rho) ** 2, geometric_discord_closed(s)[0]) for rho, s in draw(2, 4)]
+    results.append(campaign("mixed_dg_ge_nsq", [nsq - dg for nsq, dg in mixed],
+                            MIXED_BOUND_TOL))
+    pure = [(negativity(rho) ** 2, geometric_discord_closed(s)[0]) for rho, s in draw(2, 1)]
+    results.append(campaign("pure_dg_eq_nsq", [abs(dg - nsq) for nsq, dg in pure],
+                            PURE_IDENTITY_TOL))
+    return results
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(2, 5), min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_block_campaigns_equal_one_at_a_time_draws(n, seed, dims):
+    # one block draw per campaign keeps the random stream of per-sample draws
+    got = run_batch_campaigns(n, seed, dims)
+    want = one_at_a_time_campaigns(n, seed, dims)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in ("name", "samples", "violations", "worst", "tolerance"):
+            assert getattr(g, field) == getattr(w, field), (field, g, w)

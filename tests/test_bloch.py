@@ -154,6 +154,45 @@ def test_random_density_matrix_rank_out_of_range():
         random_density_matrix(4, rank=0)
     with pytest.raises(ValueError):
         random_density_matrix(4, rank=5)
+    for rank in ([1, 5], [0, 2], np.ones((2, 2), dtype=int), [[2]], [], (), 2.5, [2, 2.5],
+                 True, [True, False], np.bool_(True), "2"):
+        with pytest.raises(ValueError, match="rank"):
+            random_density_matrix(4, rank=rank)
+
+
+@given(st.sampled_from([4, 6, 8, 10]), st.data(), st.booleans())
+@settings(max_examples=80)
+def test_stacked_draw_equals_single_draws(dim, data, int_seed):
+    # a stacked draw is bit for bit the one-at-a-time draws from the same stream
+    kind = data.draw(st.sampled_from(["one", "uniform", "mixed"]))
+    if kind == "mixed":
+        ranks = data.draw(st.lists(st.integers(1, dim), min_size=2, max_size=30))
+    else:
+        n = 1 if kind == "one" else data.draw(st.integers(2, 30))
+        ranks = [data.draw(st.integers(1, dim))] * n
+    ranks = data.draw(st.sampled_from([list, tuple, np.array]))(ranks)
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    stacked = random_density_matrix(dim, rank=ranks,
+                                    seed=seed if int_seed else np.random.default_rng(seed))
+    assert stacked.shape == (len(ranks), dim, dim)
+    rng = np.random.default_rng(seed)
+    for rho, rank in zip(stacked, ranks):
+        single = random_density_matrix(dim, rank=rank, seed=rng)
+        assert single.shape == (dim, dim)
+        assert np.array_equal(rho, single)
+        assert rho.tobytes() == single.tobytes()
+    if kind == "one":
+        assert np.array_equal(random_density_matrix(dim, rank=int(ranks[0]), seed=seed),
+                              stacked[0])
+
+
+def test_stacked_draw_narrow_integer_ranks():
+    # 2 * dim * rank overflows uint8 at dim = 50; the draw must not wrap
+    ranks = np.array([3, 2, 3], dtype=np.uint8)
+    stacked = random_density_matrix(50, rank=ranks, seed=1)
+    rng = np.random.default_rng(1)
+    for rho, rank in zip(stacked, ranks):
+        assert np.array_equal(rho, random_density_matrix(50, rank=int(rank), seed=rng))
 
 
 def test_check_density_matrix_accepts_valid():

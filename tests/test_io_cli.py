@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_cli_measure_infinite_bell_exit_2(tmp_path, capsys):
             captured = capsys.readouterr()
             assert "--epsilon" in captured.err
             assert captured.out == ""
+    # coefficients too large for a float: a bad state named by its coefficients,
+    # with no numpy warning on the way
+    huge = write_bell_file(tmp_path / "huge.json", [1e308, 1e308, 0.0])
+    for command in ("measure", "protocol"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--state", huge]) == 3
+        captured = capsys.readouterr()
+        assert "(1e+308, 1e+308, 0.0) overflow" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_measure_bool_coefficient_exit_2(tmp_path, capsys):
@@ -402,7 +413,9 @@ def test_cli_fuzz_state_documents(tmp_path_factory, command, doc, epsilon):
     if epsilon is not None:
         argv += ["--epsilon", epsilon]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the test
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a non-numeric --epsilon
@@ -411,3 +424,52 @@ def test_cli_fuzz_state_documents(tmp_path_factory, command, doc, epsilon):
     if code == 0:
         printed = out.getvalue().lower()
         assert "nan" not in printed and "inf" not in printed, printed
+
+
+_EVOLVE_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1", "1", "5", "7", "2.5",
+     "0.01", "1e-3", "0.5 -0.06 0.24", "0.5,0.1", "1e308 1e308 0", "nan 0 0", "x", "",
+     "true", "deviation", "full", "json", "csv"]
+)
+_EVOLVE_LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(["state.c", "state.mode", "relaxation.t1_a", "relaxation.t2_b",
+                               "relaxation.epsilon", "relaxation.j_coupling", "grid.t_max",
+                               "grid.dt", "grid.n_points", "include_local_bloch", "format"]),
+              _EVOLVE_VALUES),
+    st.sampled_from(["no equals sign", "bogus = 1", "= 3", "# comment", "state.c ="]),
+)
+_EVOLVE_FLAG_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "1e308", "1e-320", "0", "-1", "3", "5", "9", "2.5", "1e-3", "x"]
+)
+
+
+@given(st.lists(_EVOLVE_LINES, max_size=6),
+       st.lists(st.tuples(st.sampled_from(["--dt", "--t-max", "--points", "--epsilon"]),
+                          _EVOLVE_FLAG_VALUES), max_size=3),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_evolve(tmp_path_factory, lines, flags, inline_state):
+    tmp = tmp_path_factory.mktemp("evolve")
+    cfg = tmp / "run.cfg"
+    cfg.write_text("\n".join((["state.c = 0.5 -0.06 0.24"] if inline_state else []) + lines))
+    out = tmp / "traj.csv"
+    argv = ["evolve", "--config", str(cfg), "--output", str(out)]
+    if not inline_state:
+        argv += ["--state", write_bell_file(tmp / "rho2.json", [0.5, -0.06, 0.24])]
+    for flag, value in flags:
+        argv += [f"{flag}={value}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the test
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a non-numeric flag value
+            code = exc.code
+    assert code in (0, 2, 3), stderr.getvalue()
+    if code == 0:
+        printed = (stdout.getvalue() + out.read_text()).lower()
+        assert "nan" not in printed and "inf" not in printed, printed
+    else:
+        assert not out.exists()

@@ -76,6 +76,17 @@ def test_discord_eig_trivial_cases():
     assert geometric_discord_eig(np.diag([0.5, 0.3, 0.1])) == pytest.approx(0.8, abs=1e-15)
 
 
+def test_discord_eig_rejects_bad_s():
+    asymmetric = np.diag([0.3, 0.2, 0.1])
+    asymmetric[0, 1] = 0.05
+    for bad in (asymmetric, np.array([np.eye(3), asymmetric])):
+        with pytest.raises(ValueError, match="symmetric"):
+            geometric_discord_eig(bad)
+    for shape in ((3,), (2, 2), (3, 4), (5, 3, 2)):
+        with pytest.raises(ValueError, match="3x3"):
+            geometric_discord_eig(np.zeros(shape))
+
+
 def test_q_bound_degenerate_equality():
     assert q_lower_bound(np.diag([0.25, 0.25, 0.25])) == pytest.approx(1.0, abs=1e-15)
 
