@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Byte-for-byte comparison of qcorr's command outputs between two sources.
+
+Runs a fixed set of ``qcorr`` commands (measure, protocol, evolve and
+batch, in every output format) once with this checkout's ``src`` and
+once with OTHER_SRC, on the same input files in a temporary directory.
+Every file a command writes, its stdout and its exit code are compared;
+each output that differs is named and the script exits 1.
+
+Usage: python scripts/compare_outputs.py OTHER_SRC
+
+OTHER_SRC is the ``src`` directory of another checkout, for example the
+parent commit's. Passing this checkout's own ``src`` checks that every
+command reruns to the same bytes.
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: state files written as inputs: name -> document
+STATES = {
+    "bell_deviation": {"kind": "bell", "c": [0.5, -0.06, 0.24], "mode": "deviation"},
+    "bell_full": {"kind": "bell", "c": [0.5, -0.3, 0.2], "mode": "full"},
+}
+#: random 2 x d matrix states, d -> rank
+MATRIX_DIMS = {2: 3, 3: 2, 4: 5}
+
+EVOLVE_CONFIG = """\
+state.c = 0.7762 -0.6143 0.2848
+state.mode = deviation
+relaxation.t2_b = 0.25
+grid.n_points = 120
+include_local_bloch = yes
+"""
+
+
+def _random_state(rng: np.random.Generator, dim: int, rank: int) -> dict:
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return {"kind": "matrix", "dim": dim, "re": rho.real.tolist(), "im": rho.imag.tolist()}
+
+
+def write_inputs(inputs: Path) -> None:
+    inputs.mkdir()
+    rng = np.random.default_rng(2024)
+    docs = dict(STATES)
+    for d, rank in MATRIX_DIMS.items():
+        docs[f"matrix_2x{d}"] = _random_state(rng, 2 * d, rank)
+    for name, doc in docs.items():
+        (inputs / f"{name}.json").write_text(json.dumps(doc))
+    (inputs / "evolve.cfg").write_text(EVOLVE_CONFIG)
+
+
+def commands(inputs: Path) -> dict[str, list[str]]:
+    """label -> qcorr argv; outputs are written to the working directory."""
+    cmds = {}
+    for name in ["bell_deviation", "bell_full"] + [f"matrix_2x{d}" for d in MATRIX_DIMS]:
+        state = str(inputs / f"{name}.json")
+        for fmt in ("csv", "json"):
+            cmds[f"measure_{name}_{fmt}"] = ["measure", "--state", state,
+                                             "--output", f"measure_{name}.{fmt}",
+                                             "--format", fmt]
+    for name in ("bell_deviation", "bell_full", "matrix_2x2"):
+        state = str(inputs / f"{name}.json")
+        cmds[f"protocol_{name}_exact"] = ["protocol", "--state", state,
+                                          "--output", f"protocol_{name}_exact.json"]
+        cmds[f"protocol_{name}_shots"] = ["protocol", "--state", state,
+                                          "--shots", "4000", "--seed", "5",
+                                          "--output", f"protocol_{name}_shots.json"]
+    for fmt in ("csv", "json"):
+        cmds[f"evolve_state_{fmt}"] = ["evolve", "--state", str(inputs / "bell_deviation.json"),
+                                       "--output", f"evolve_state.{fmt}", "--format", fmt]
+        cmds[f"evolve_config_{fmt}"] = ["evolve", "--config", str(inputs / "evolve.cfg"),
+                                        "--output", f"evolve_config.{fmt}", "--format", fmt]
+    batch = ["batch", "--n", "200", "--seed", "11", "--dims", "2,3,4"]
+    cmds["batch_text"] = batch
+    for fmt in ("csv", "json"):
+        cmds[f"batch_{fmt}"] = batch + ["--output", f"batch.{fmt}", "--format", fmt]
+    return cmds
+
+
+def run_side(src: Path, inputs: Path, workdir: Path) -> dict[str, bytes]:
+    """Run every command with qcorr from ``src``; output name -> bytes."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("QCORR_LOG", None)
+    probe = subprocess.run([sys.executable, "-c", "import qcorr; print(qcorr.__file__)"],
+                           env=env, capture_output=True, text=True)
+    found = Path(probe.stdout.strip()).resolve().parent if probe.returncode == 0 else None
+    if found != src / "qcorr":
+        sys.exit(f"compare_outputs: qcorr from {src} not importable "
+                 f"(got {probe.stdout.strip() or probe.stderr.strip()})")
+    workdir.mkdir()
+    outputs = {}
+    for label, argv in commands(inputs).items():
+        proc = subprocess.run([sys.executable, "-m", "qcorr", *argv], cwd=workdir, env=env,
+                              capture_output=True)
+        outputs[f"{label}.stdout"] = proc.stdout
+        outputs[f"{label}.exit"] = str(proc.returncode).encode()
+    for path in sorted(workdir.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", type=Path, help="src directory of the other checkout")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="qcorr-compare-") as tmp:
+        tmp = Path(tmp)
+        write_inputs(tmp / "inputs")
+        ours = run_side(SRC, tmp / "inputs", tmp / "this")
+        theirs = run_side(args.other_src.resolve(), tmp / "inputs", tmp / "other")
+    # a command that fails on both sides would compare equal and show nothing
+    failed = sorted(name for name, value in ours.items()
+                    if name.endswith(".exit") and value != b"0")
+    differ = sorted(name for name in ours.keys() | theirs.keys()
+                    if ours.get(name) != theirs.get(name))
+    for name in failed:
+        print(f"failed here: {name[:-len('.exit')]} (exit {ours[name].decode()})")
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(ours.keys() | theirs.keys())} outputs compared, {len(differ)} differ")
+    return 1 if differ or failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

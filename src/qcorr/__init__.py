@@ -41,16 +41,13 @@ from .measures import (
     is_bell_diagonal,
     negativity,
     negativity_of_quantumness_bell,
-    partial_transpose,
     q_lower_bound,
     report_from_record,
     s_matrix,
 )
 from .protocol import (
-    LOCAL_ROTATIONS,
     ROTATION_TABLE,
     MeasurementRecord,
-    RotationSpec,
     cnot_gate,
     direct_correlation,
     direct_local,
@@ -67,11 +64,9 @@ __all__ = [
     "CorrelationReport",
     "InvalidStateError",
     "KrausSet",
-    "LOCAL_ROTATIONS",
     "MeasurementRecord",
     "ROTATION_TABLE",
     "RelaxationParams",
-    "RotationSpec",
     "Trajectory",
     "TransitionPoint",
     "apply_two_qubit_channel",
@@ -97,7 +92,6 @@ __all__ = [
     "negativity",
     "negativity_of_quantumness_bell",
     "one_sided_slopes",
-    "partial_transpose",
     "pd_kraus",
     "q_lower_bound",
     "random_density_matrix",

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import bloch_decompose, random_density_matrix
-from .io import dump_json, format_float
+from .io import format_float, render_table
 from .measures import geometric_discord_closed, geometric_discord_eig, negativity, \
     q_lower_bound, s_matrix
 
@@ -86,16 +86,8 @@ def total_violations(results: list[CampaignResult]) -> int:
 
 
 def render_batch_report(results: list[CampaignResult], fmt: str = "text") -> str:
-    if fmt == "json":
-        return dump_json([r.as_record() for r in results]) + "\n"
-    if fmt == "csv":
-        lines = ["name,samples,violations,worst,tolerance"]
-        lines += [
-            f"{r.name},{r.samples},{r.violations},{format_float(r.worst)},"
-            f"{format_float(r.tolerance)}"
-            for r in results
-        ]
-        return "\n".join(lines) + "\n"
+    if fmt != "text":
+        return render_table([r.as_record() for r in results], fmt)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

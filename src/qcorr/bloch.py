@@ -275,10 +275,9 @@ class BellDiagonalState:
 
     def deviation_matrix(self) -> np.ndarray:
         """The traceless part sum_i c_i sigma_i (x) sigma_i / 4."""
-        out = np.zeros((4, 4), dtype=complex)
-        for c, s in zip((self.c1, self.c2, self.c3), PAULIS):
-            out += c * np.kron(s, s)
-        return out / 4.0
+        c1, c2, c3 = self.c1, self.c2, self.c3
+        return np.array([[c3, 0, 0, c1 - c2], [0, -c3, c1 + c2, 0],
+                         [0, c1 + c2, -c3, 0], [c1 - c2, 0, 0, c3]], dtype=complex) / 4.0
 
     def density_matrix(self, epsilon: float | None = None) -> np.ndarray:
         """The physical 4x4 state; deviation mode requires epsilon."""

@@ -24,17 +24,16 @@ import numpy as np
 from . import batch as batch_mod
 from .bloch import BellDiagonalState, BlochRecord, InvalidStateError, \
     bloch_decompose, check_density_matrix
-from .channels import detect_transition, make_trajectory
+from .channels import RelaxationParams, detect_transition, make_trajectory
 from .io import (
     ConfigError,
     StateFormatError,
     build_config,
-    dump_json,
     format_float,
     load_state_file,
     parse_config_file,
+    render_table,
     report_text,
-    serialize_report,
     serialize_trajectory,
 )
 from .measures import full_report, report_from_record, scaled_record
@@ -42,47 +41,47 @@ from .protocol import measurement_budget, run_direct_protocol
 
 log = logging.getLogger("qcorr")
 
-DEFAULT_EPSILON = 1e-5
-
 
 def _state_to_matrix(state, epsilon: float | None):
     """Full density matrix plus (mode, epsilon) bookkeeping for a loaded state."""
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon must be positive and finite, got {epsilon}")
-    if state.kind == "matrix":
-        return state.matrix, "full", None
-    if state.bell.mode == "deviation":
-        eps = DEFAULT_EPSILON if epsilon is None else epsilon
-        return state.bell.density_matrix(epsilon=eps), "deviation", eps
-    return state.bell.density_matrix(), "full", None
+    if not isinstance(state, BellDiagonalState):
+        return state, "full", None
+    if state.mode == "deviation":
+        eps = RelaxationParams.epsilon if epsilon is None else epsilon
+        return state.density_matrix(epsilon=eps), "deviation", eps
+    return state.density_matrix(), "full", None
 
 
 def cmd_measure(args) -> int:
     state = load_state_file(args.state)
     rho, mode, eps = _state_to_matrix(state, args.epsilon)
     check_density_matrix(rho)
-    include = True if args.include_local_bloch is None else args.include_local_bloch
-    report = full_report(rho, mode=mode, epsilon=eps, include_local_bloch=include)
+    report = full_report(rho, mode=mode, epsilon=eps,
+                         include_local_bloch=args.include_local_bloch)
     print(report_text(report))
     if args.output:
-        Path(args.output).write_text(serialize_report(report, args.format))
+        Path(args.output).write_text(render_table(report.as_record(), args.format))
         log.info("wrote report to %s", args.output)
     return 0
 
 
 def _evolve_config(args):
+    """Config file settings, with each given flag's text replacing its key's value."""
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {
-        "state_file": args.state,
-        "t_max": args.t_max,
-        "dt": args.dt,
-        "n_points": args.points,
-        "epsilon": args.epsilon,
+    flags = {
+        "state.file": args.state,
+        "grid.t_max": args.t_max,
+        "grid.dt": args.dt,
+        "grid.n_points": args.points,
+        "relaxation.epsilon": args.epsilon,
         "include_local_bloch": args.include_local_bloch,
         "output": args.output,
         "format": args.format,
     }
-    return build_config(raw, overrides)
+    raw.update((key, str(value)) for key, value in flags.items() if value is not None)
+    return build_config(raw)
 
 
 def cmd_evolve(args) -> int:
@@ -90,12 +89,14 @@ def cmd_evolve(args) -> int:
     if cfg.output is None:
         raise ConfigError("evolve needs an output path (--output or 'output = ...')")
     if cfg.state_file is not None:
-        state = load_state_file(cfg.state_file)
-        if state.kind != "bell":
+        bell = load_state_file(cfg.state_file)
+        if not isinstance(bell, BellDiagonalState):
             raise ConfigError("evolve requires a bell-form state (kind 'bell')")
-        bell = state.bell
     else:
         bell = BellDiagonalState(*cfg.state_coeffs, mode=cfg.state_mode)
+    # deviation coefficients carry no constraint of their own, but at the run's
+    # epsilon they must still describe a state, as in measure and protocol
+    check_density_matrix(_state_to_matrix(bell, cfg.relaxation.epsilon)[0])
     traj = make_trajectory(
         bell,
         cfg.relaxation,
@@ -165,7 +166,7 @@ def cmd_protocol(args) -> int:
         doc["x_error"] = err.x
         doc["c_error"] = err.C
     if args.output:
-        Path(args.output).write_text(dump_json(doc) + "\n")
+        Path(args.output).write_text(render_table(doc, "json"))
         log.info("wrote protocol report to %s", args.output)
     return 0
 
@@ -196,9 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
     measure = sub.add_parser("measure", help="correlation measures of a state file")
     measure.add_argument("--state", required=True, help="state file (JSON)")
     measure.add_argument("--epsilon", type=float, default=None,
-                         help="polarization for deviation-mode states (default 1e-5)")
+                         help="polarization for deviation-mode states "
+                         f"(default {RelaxationParams.epsilon})")
     measure.add_argument("--include-local-bloch", action=argparse.BooleanOptionalAction,
-                         default=None, help="include local Bloch vectors in S (default on)")
+                         default=True, help="include local Bloch vectors in S (default on)")
     measure.add_argument("--output", default=None)
     measure.add_argument("--format", choices=("csv", "json"), default="csv")
     measure.set_defaults(func=cmd_measure)
@@ -206,10 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve = sub.add_parser("evolve", help="relaxation trajectory of a Bell state")
     evolve.add_argument("--config", default=None, help="key = value config file")
     evolve.add_argument("--state", default=None, help="bell-form state file")
-    evolve.add_argument("--t-max", dest="t_max", type=float, default=None)
-    evolve.add_argument("--dt", type=float, default=None)
-    evolve.add_argument("--points", type=int, default=None)
-    evolve.add_argument("--epsilon", type=float, default=None)
+    evolve.add_argument("--t-max", dest="t_max", default=None)
+    evolve.add_argument("--dt", default=None)
+    evolve.add_argument("--points", default=None)
+    evolve.add_argument("--epsilon", default=None)
     evolve.add_argument("--include-local-bloch", action=argparse.BooleanOptionalAction,
                         default=None)
     evolve.add_argument("--output", default=None)
@@ -222,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     protocol.add_argument("--seed", type=int, default=None)
     protocol.add_argument("--epsilon", type=float, default=None)
     protocol.add_argument("--output", default=None)
-    protocol.add_argument("--format", choices=("csv", "json"), default="json")
     protocol.set_defaults(func=cmd_protocol)
 
     batch = sub.add_parser("batch", help="random-state cross-check campaigns")

@@ -1,12 +1,21 @@
-"""File formats: state files, experiment configs, result serialization.
+"""File formats: state files, evolve settings and result tables.
 
-State files are JSON documents of one of two kinds::
+Each format is defined once, here:
 
-    {"kind": "matrix", "dim": N, "re": [[...]], "im": [[...]]}
-    {"kind": "bell", "c": [c1, c2, c3], "mode": "full" | "deviation"}
+* State files (``load_state_file``, ``write_state_file``) are JSON
+  documents of one of two kinds::
 
-Experiment configs are flat ``key = value`` text files with dotted keys
-(``relaxation.t1_a = 3.57``); command-line flags override file values.
+      {"kind": "matrix", "dim": N, "re": [[...]], "im": [[...]]}
+      {"kind": "bell", "c": [c1, c2, c3], "mode": "full" | "deviation"}
+
+* Evolve settings are ``key -> text`` pairs with dotted keys
+  (``relaxation.t1_a = 3.57``), read from flat ``key = value`` config
+  files by ``parse_config_file``. The table ``_SETTINGS`` names every key,
+  the ``ExperimentConfig`` field it sets and the parser of its text;
+  ``build_config`` applies it. The evolve flags are entered under the same
+  keys, so a flag value is parsed like the file value it replaces.
+* Result tables (``render_table``) are one record or a list of records,
+  written as JSON or CSV.
 
 All numeric output is rendered with a fixed 15-significant-digit format
 so that rerunning a command with the same inputs produces byte-identical
@@ -15,7 +24,7 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +32,6 @@ import numpy as np
 from .bloch import BellDiagonalState
 from .channels import RelaxationParams, Trajectory
 from .measures import CorrelationReport
-from .protocol import MeasurementRecord
 
 
 class StateFormatError(ValueError):
@@ -73,15 +81,6 @@ def dump_json(value, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # state files
 
-@dataclass(frozen=True)
-class LoadedState:
-    """Parsed state file: a raw matrix or a Bell-diagonal description."""
-
-    kind: str
-    matrix: np.ndarray | None = None
-    bell: BellDiagonalState | None = None
-
-
 def _require(doc: dict, key: str, kinds, where: str):
     if key not in doc:
         raise StateFormatError(f"{where}: missing field {key!r}", field_name=key)
@@ -112,8 +111,9 @@ def _number_array(doc: dict, key: str, where: str) -> np.ndarray:
     return arr
 
 
-def load_state_file(path: str | Path) -> LoadedState:
-    """Parse a state file; format problems raise StateFormatError."""
+def load_state_file(path: str | Path) -> np.ndarray | BellDiagonalState:
+    """Parse a state file into its complex matrix or its BellDiagonalState;
+    format problems raise StateFormatError."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -141,7 +141,7 @@ def load_state_file(path: str | Path) -> LoadedState:
                 f"{path}: field 'im' has shape {im_arr.shape}, expected ({dim}, {dim})",
                 field_name="im",
             )
-        return LoadedState(kind="matrix", matrix=re_arr + 1j * im_arr)
+        return re_arr + 1j * im_arr
     if kind == "bell":
         coeffs = _number_array(doc, "c", str(path))
         if coeffs.shape != (3,):
@@ -152,11 +152,8 @@ def load_state_file(path: str | Path) -> LoadedState:
                 f"{path}: field 'mode' must be 'full' or 'deviation', got {mode!r}",
                 field_name="mode",
             )
-        return LoadedState(
-            kind="bell",
-            bell=BellDiagonalState(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]),
-                                   mode=mode),
-        )
+        return BellDiagonalState(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]),
+                                 mode=mode)
     raise StateFormatError(f"{path}: unknown kind {kind!r}", field_name="kind")
 
 
@@ -172,7 +169,35 @@ def write_state_file(path: str | Path, rho: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# result serialization
+# result tables
+
+def _cell(v) -> str:
+    """One CSV cell: a number as in JSON, text as is, None empty."""
+    if isinstance(v, float):  # tested first: nearly every cell is one
+        return format_float(v)
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    return _json_scalar(v)
+
+
+def render_table(table: dict | list[dict], fmt: str) -> str:
+    """One record or a list of records as a JSON document or a CSV table.
+
+    The CSV header is the first record's keys, followed by one line per
+    record.
+    """
+    if fmt == "json":
+        return dump_json(table) + "\n"
+    if fmt != "csv":
+        raise ConfigError(f"unknown format {fmt!r}")
+    records = [table] if isinstance(table, dict) else table
+    keys = list(records[0])
+    lines = [",".join(keys)]
+    lines += [",".join([_cell(rec[k]) for k in keys]) for rec in records]
+    return "\n".join(lines) + "\n"
+
 
 def report_text(report: CorrelationReport) -> str:
     rec = report.as_record()
@@ -181,32 +206,6 @@ def report_text(report: CorrelationReport) -> str:
         value = rec[key]
         lines.append(f"{key} = {'none' if value is None else format_float(value)}")
     return "\n".join(lines)
-
-
-def report_csv(report: CorrelationReport) -> str:
-    rec = report.as_record()
-    keys = ("d_g", "q", "theta", "q_n", "negativity", "units")
-    cells = []
-    for key in keys:
-        value = rec[key]
-        if value is None:
-            cells.append("")
-        elif isinstance(value, str):
-            cells.append(value)
-        else:
-            cells.append(format_float(value))
-    return ",".join(keys) + "\n" + ",".join(cells) + "\n"
-
-
-def serialize_report(report: CorrelationReport, fmt: str) -> str:
-    if fmt == "csv":
-        return report_csv(report)
-    if fmt == "json":
-        return dump_json(report.as_record()) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
-
-
-TRAJECTORY_HEADER = ("t", "c1", "c2", "c3", "d_g", "q", "q_n", "negativity")
 
 
 def trajectory_rows(traj: Trajectory):
@@ -225,48 +224,60 @@ def trajectory_rows(traj: Trajectory):
 
 
 def serialize_trajectory(traj: Trajectory, fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(TRAJECTORY_HEADER)]
-        for row in trajectory_rows(traj):
-            lines.append(
-                ",".join(
-                    "" if row[k] is None else format_float(row[k])
-                    for k in TRAJECTORY_HEADER
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return dump_json(list(trajectory_rows(traj))) + "\n"
-    raise ConfigError(f"unknown format {fmt!r}")
-
-
-def serialize_measurement(record: MeasurementRecord) -> str:
-    return dump_json(record.as_record()) + "\n"
+    return render_table(list(trajectory_rows(traj)), fmt)
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration
+# evolve settings
 
-_CONFIG_KEYS = {
-    "state.file",
-    "state.c",
-    "state.mode",
-    "relaxation.t1_a",
-    "relaxation.t2_a",
-    "relaxation.t1_b",
-    "relaxation.t2_b",
-    "relaxation.epsilon",
-    "relaxation.j_coupling",
-    "grid.t_max",
-    "grid.dt",
-    "grid.n_points",
-    "include_local_bloch",
-    "output",
-    "format",
+def _text(key: str, value: str) -> str:
+    return value
+
+
+def _number(key: str, value: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
+
+
+def _integer(key: str, value: str) -> int:
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _coefficients(key: str, value: str) -> tuple[float, float, float]:
+    parts = [p for p in value.replace(",", " ").split() if p]
+    if len(parts) != 3:
+        raise ConfigError(f"config key {key!r}: expected 3 numbers, got {value!r}")
+    return tuple(_number(key, p) for p in parts)
+
+
+def _boolean(key: str, value: str) -> bool:
+    lowered = value.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
+
+
+#: config key -> (field it sets, parser of its text); a ``relaxation.*`` key
+#: sets that field of ``RelaxationParams``, every other key one of ``ExperimentConfig``
+_SETTINGS = {
+    "state.file": ("state_file", _text),
+    "state.c": ("state_coeffs", _coefficients),
+    "state.mode": ("state_mode", _text),
+    **{f"relaxation.{f.name}": (f.name, _number) for f in fields(RelaxationParams)},
+    "grid.t_max": ("t_max", _number),
+    "grid.dt": ("dt", _number),
+    "grid.n_points": ("n_points", _integer),
+    "include_local_bloch": ("include_local_bloch", _boolean),
+    "output": ("output", _text),
+    "format": ("format", _text),
 }
-
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -283,19 +294,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         raw[key] = value
     return raw
-
-
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
 
 
 @dataclass
@@ -326,67 +328,21 @@ class ExperimentConfig:
             )
 
 
-def build_config(raw: dict[str, str], overrides: dict | None = None) -> ExperimentConfig:
-    """Turn raw config text plus override values into an ExperimentConfig.
-
-    ``overrides`` (typically from command-line flags) win over file
-    values; keys with value None are ignored.
-    """
+def build_config(raw: dict[str, str]) -> ExperimentConfig:
+    """Parse ``key -> text`` settings into a validated ExperimentConfig."""
     cfg = ExperimentConfig()
     relax: dict[str, float] = {}
-
-    def as_float(key: str, value: str) -> float:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
-
-    def as_int(key: str, value: str) -> int:
-        number = as_float(key, value)
-        if not number.is_integer():
-            raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}")
-        return int(number)
-
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "state.file":
-            cfg.state_file = value
-        elif key == "state.c":
-            parts = [p for p in value.replace(",", " ").split() if p]
-            if len(parts) != 3:
-                raise ConfigError(f"config key 'state.c': expected 3 numbers, got {value!r}")
-            cfg.state_coeffs = tuple(as_float("state.c", p) for p in parts)
-        elif key == "state.mode":
-            cfg.state_mode = value
-        elif key.startswith("relaxation."):
-            relax[key.split(".", 1)[1]] = as_float(key, value)
-        elif key == "grid.t_max":
-            cfg.t_max = as_float(key, value)
-        elif key == "grid.dt":
-            cfg.dt = as_float(key, value)
-        elif key == "grid.n_points":
-            cfg.n_points = as_int(key, value)
-        elif key == "include_local_bloch":
-            cfg.include_local_bloch = _parse_bool(value, key)
-        elif key == "output":
-            cfg.output = value
-        elif key == "format":
-            cfg.format = value
-    if relax:
-        try:
-            cfg.relaxation = replace(cfg.relaxation, **relax)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad relaxation parameters: {exc}")
-
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "epsilon":
-            cfg.relaxation = replace(cfg.relaxation, epsilon=value)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
+        name, parse = _SETTINGS[key]
+        if key.startswith("relaxation."):
+            relax[name] = parse(key, value)
         else:
-            raise ConfigError(f"unknown override {key!r}")
+            setattr(cfg, name, parse(key, value))
+    try:
+        cfg.relaxation = RelaxationParams(**relax)
+    except ValueError as exc:
+        raise ConfigError(f"bad relaxation parameters: {exc}")
     cfg.validate()
     return cfg

@@ -35,8 +35,6 @@ _READOUT.setflags(write=False)
 class RotationSpec:
     """Rotation axes/angle and readout sign for one correlator (nu, lam)."""
 
-    nu: int
-    lam: int
     axis_a: str
     axis_b: str
     angle: float
@@ -44,15 +42,15 @@ class RotationSpec:
 
 
 ROTATION_TABLE: dict[tuple[int, int], RotationSpec] = {
-    (1, 1): RotationSpec(1, 1, "x", "x", 0.0, +1),
-    (2, 2): RotationSpec(2, 2, "z", "z", np.pi / 2, +1),
-    (3, 3): RotationSpec(3, 3, "y", "y", np.pi / 2, +1),
-    (1, 2): RotationSpec(1, 2, "x", "z", 3 * np.pi / 2, +1),
-    (2, 1): RotationSpec(2, 1, "z", "x", 3 * np.pi / 2, +1),
-    (1, 3): RotationSpec(1, 3, "x", "y", np.pi / 2, +1),
-    (3, 1): RotationSpec(3, 1, "y", "x", np.pi / 2, +1),
-    (2, 3): RotationSpec(2, 3, "z", "y", np.pi / 2, -1),
-    (3, 2): RotationSpec(3, 2, "y", "z", np.pi / 2, -1),
+    (1, 1): RotationSpec("x", "x", 0.0, +1),
+    (2, 2): RotationSpec("z", "z", np.pi / 2, +1),
+    (3, 3): RotationSpec("y", "y", np.pi / 2, +1),
+    (1, 2): RotationSpec("x", "z", 3 * np.pi / 2, +1),
+    (2, 1): RotationSpec("z", "x", 3 * np.pi / 2, +1),
+    (1, 3): RotationSpec("x", "y", np.pi / 2, +1),
+    (3, 1): RotationSpec("y", "x", np.pi / 2, +1),
+    (2, 3): RotationSpec("z", "y", np.pi / 2, -1),
+    (3, 2): RotationSpec("y", "z", np.pi / 2, -1),
 }
 
 # Single-qubit rotations taking sigma_nu onto the sigma_1 readout with a
@@ -138,15 +136,6 @@ class MeasurementRecord:
     def to_bloch_record(self) -> BlochRecord:
         """Bloch data with the (unmeasured) y vector set to zero."""
         return BlochRecord(x=self.x_est.copy(), y=np.zeros(3), C=self.c_est.copy())
-
-    def as_record(self) -> dict:
-        return {
-            "x_est": list(self.x_est),
-            "c_est": [list(row) for row in self.c_est],
-            "readout_count": self.readout_count,
-            "shots": self.shots,
-            "seed": self.seed,
-        }
 
 
 def run_direct_protocol(

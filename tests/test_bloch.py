@@ -245,6 +245,27 @@ def test_bell_diagonal_populations_sum_to_one():
     )
 
 
+_COEFFS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e-3, -1e-3, 1e3, -1e3]),
+)
+
+
+@given(_COEFFS, _COEFFS, _COEFFS, st.booleans())
+@settings(max_examples=300)
+def test_deviation_matrix_equals_kron_sum(c1, c2, c3, opposite):
+    if opposite:
+        c2 = -c1
+    want = np.zeros((4, 4), dtype=complex)
+    for c, s in zip((c1, c2, c3), PAULIS):
+        want += c * np.kron(s, s)
+    want /= 4.0
+    got = BellDiagonalState(c1, c2, c3, mode="deviation").deviation_matrix()
+    assert got.dtype == complex
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_bell_diagonal_deviation_needs_epsilon():
     state = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
     with pytest.raises(ValueError, match="epsilon"):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import warnings
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr import BellDiagonalState, random_density_matrix
+from qcorr import BellDiagonalState, make_trajectory, random_density_matrix
+from qcorr.batch import render_batch_report, run_batch_campaigns
 from qcorr.cli import main
 from qcorr.io import (
     ConfigError,
@@ -18,6 +20,8 @@ from qcorr.io import (
     format_float,
     load_state_file,
     parse_config_file,
+    serialize_trajectory,
+    trajectory_rows,
     write_state_file,
 )
 
@@ -41,15 +45,47 @@ def test_dump_json_deterministic():
     assert parsed["c"] == [1.5, 2.5]
 
 
-def test_measurement_record_wire_format():
-    from qcorr import run_direct_protocol
-    from qcorr.io import serialize_measurement
+def _csv_matches(text, records):
+    """csv.DictReader recovers every record: same keys, None as an empty cell,
+    text as is and numbers to the 15 digits written."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert list(row) == list(rec)
+        for key, value in rec.items():
+            if value is None:
+                assert row[key] == ""
+            elif isinstance(value, str):
+                assert row[key] == value
+            else:
+                assert float(row[key]) == pytest.approx(value, rel=1e-14, abs=1e-300)
 
-    record = run_direct_protocol(np.eye(4) / 4.0, shots=100, seed=3)
-    doc = json.loads(serialize_measurement(record))
-    assert list(doc) == ["x_est", "c_est", "readout_count", "shots", "seed"]
-    assert doc["readout_count"] == 12
-    assert np.asarray(doc["c_est"]).shape == (3, 3)
+
+def test_csv_round_trip():
+    traj = make_trajectory(BellDiagonalState(0.5, -0.06, 0.24, mode="deviation"),
+                           n_points=51, include_local_bloch=True)
+    records = list(trajectory_rows(traj))
+    q_n = [rec["q_n"] for rec in records]
+    assert None in q_n and any(v is not None for v in q_n)  # empty and filled cells
+    _csv_matches(serialize_trajectory(traj, "csv"), records)
+    results = run_batch_campaigns(20, 4, dims=(2, 3))
+    _csv_matches(render_batch_report(results, "csv"), [r.as_record() for r in results])
+
+
+def test_cli_protocol_output_key_order(tmp_path, capsys):
+    path = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
+    out = tmp_path / "protocol.json"
+    keys = ["budget", "x_est", "c_est", "readout_count", "shots", "seed", "direct",
+            "tomography", "max_measure_difference"]
+    assert main(["protocol", "--state", path, "--output", str(out)]) == 0
+    assert list(json.loads(out.read_text())) == keys
+    assert main(["protocol", "--state", path, "--output", str(out),
+                 "--shots", "100", "--seed", "3"]) == 0
+    assert list(json.loads(out.read_text())) == keys + ["x_error", "c_error"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # the document is JSON only
+        main(["protocol", "--state", path, "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_state_file_matrix_roundtrip(tmp_path):
@@ -57,15 +93,15 @@ def test_state_file_matrix_roundtrip(tmp_path):
     path = tmp_path / "state.json"
     write_state_file(path, rho)
     loaded = load_state_file(path)
-    assert loaded.kind == "matrix"
-    assert np.max(np.abs(loaded.matrix - rho)) <= 1e-15
+    assert type(loaded) is np.ndarray and loaded.dtype == complex
+    assert np.max(np.abs(loaded - rho)) <= 1e-15
 
 
 def test_state_file_bell(tmp_path):
     path = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
     loaded = load_state_file(path)
-    assert loaded.kind == "bell"
-    assert loaded.bell == BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
+    assert type(loaded) is BellDiagonalState
+    assert loaded == BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
 
 
 @pytest.mark.parametrize(
@@ -115,10 +151,11 @@ def test_config_parse_and_overrides(tmp_path):
         """
     )
     raw = parse_config_file(cfg_file)
-    cfg = build_config(raw, {"n_points": 21, "format": "json"})
+    cfg = build_config(raw)
     assert cfg.state_coeffs == (0.5, -0.06, 0.24)
-    assert cfg.n_points == 21  # flag beats file
-    assert cfg.format == "json"
+    assert cfg.n_points == 51
+    assert cfg.format == "csv"
+    assert cfg.output == "out.csv"
     assert cfg.relaxation.t1_a == 3.57
 
 
@@ -266,6 +303,17 @@ def test_cli_evolve_rejects_matrix_state(tmp_path, capsys):
     assert "bell" in capsys.readouterr().err
 
 
+def test_cli_evolve_rejects_unphysical_deviation_state(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    # eps * c = (1, 1, 0) has a negative Bell population; 1e308 overflows
+    for c, message in (([1e5, 1e5, 0.0], "smallest eigenvalue"),
+                       ([1e308, 1e308, 0.0], "overflow")):
+        path = write_bell_file(tmp_path / "dev.json", c)
+        assert main(["evolve", "--state", path, "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_evolve_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "traj.json"
@@ -287,6 +335,20 @@ def test_cli_evolve_config_file(tmp_path, capsys):
         bad.write_text(cfg.read_text() + line + "\n")
         assert main(["evolve", "--config", str(bad)]) == 2
         assert name in capsys.readouterr().err
+
+
+def test_cli_evolve_flags_beat_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "traj.json"
+    cfg.write_text(f"state.c = 0.5 -0.06 0.24\ngrid.n_points = 51\noutput = {out}\n")
+    assert main(["evolve", "--config", str(cfg), "--points", "21", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(json.loads(out.read_text())) == 21
+    # a flag's text is parsed like the config value it replaces
+    out.unlink()
+    assert main(["evolve", "--config", str(cfg), "--points", "2.5"]) == 2
+    assert "'grid.n_points': expected an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_evolve_short_grid_writes_no_file(tmp_path, capsys):
