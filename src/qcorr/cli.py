@@ -10,14 +10,17 @@ Subcommands::
 Exit codes: 0 success, 2 input/parse error, 3 invalid state,
 4 property violation in a batch run. The QCORR_LOG environment variable
 sets log verbosity only; it never affects numeric output.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused; each call still parses into a fresh namespace.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .io import (
     render_table,
     report_text,
     serialize_trajectory,
+    write_output,
 )
 from .measures import full_report, report_from_record, scaled_record
 from .protocol import measurement_budget, run_direct_protocol
@@ -62,7 +66,7 @@ def cmd_measure(args) -> int:
                          include_local_bloch=args.include_local_bloch)
     print(report_text(report))
     if args.output:
-        Path(args.output).write_text(render_table(report.as_record(), args.format))
+        write_output(args.output, render_table(report.as_record(), args.format))
         log.info("wrote report to %s", args.output)
     return 0
 
@@ -106,7 +110,7 @@ def cmd_evolve(args) -> int:
         include_local_bloch=cfg.include_local_bloch,
     )
     hit = detect_transition(traj)  # rejects a too-short grid before any file is written
-    Path(cfg.output).write_text(serialize_trajectory(traj, cfg.format))
+    write_output(cfg.output, serialize_trajectory(traj, cfg.format))
     log.info("wrote %d trajectory points to %s", cfg.n_points, cfg.output)
     if hit is None:
         print("t_star = none")
@@ -123,12 +127,14 @@ def cmd_protocol(args) -> int:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else args.seed
     measured = run_direct_protocol(rho, shots=args.shots, seed=seed)
-    tomo = bloch_decompose(rho, 2)
+    direct, tomo = measured.to_bloch_record(), bloch_decompose(rho, 2)
 
-    direct_rec, units = scaled_record(measured.to_bloch_record(), mode, eps)
-    tomo_rec, _ = scaled_record(tomo, mode, eps)
-    direct_report = report_from_record(direct_rec, 2, rho=rho, units=units)
-    tomo_report = report_from_record(tomo_rec, 2, rho=rho, units=units)
+    # the direct and tomography records go through the measures as one stack
+    both, units = scaled_record(BlochRecord(x=np.stack([direct.x, tomo.x]),
+                                            y=np.stack([direct.y, tomo.y]),
+                                            C=np.stack([direct.C, tomo.C])), mode, eps)
+    direct_report, tomo_report = report_from_record(both, 2, rho=np.stack([rho, rho]),
+                                                    units=units)
 
     direct_n, tomo_n = measurement_budget(2)
     print(f"budget: direct: {direct_n}, tomography: {tomo_n}")
@@ -144,8 +150,8 @@ def cmd_protocol(args) -> int:
 
     doc = {
         "budget": {"direct": direct_n, "tomography": tomo_n},
-        "x_est": direct_rec.x,
-        "c_est": direct_rec.C,
+        "x_est": both.x[0],
+        "c_est": both.C[0],
         "readout_count": measured.readout_count,
         "shots": measured.shots,
         "seed": measured.seed,
@@ -166,7 +172,7 @@ def cmd_protocol(args) -> int:
         doc["x_error"] = err.x
         doc["c_error"] = err.C
     if args.output:
-        Path(args.output).write_text(render_table(doc, "json"))
+        write_output(args.output, render_table(doc, "json"))
         log.info("wrote protocol report to %s", args.output)
     return 0
 
@@ -178,7 +184,7 @@ def cmd_batch(args) -> int:
     results = batch_mod.run_batch_campaigns(args.n, args.seed, dims)
     print(batch_mod.render_batch_report(results, "text"), end="")
     if args.output:
-        Path(args.output).write_text(batch_mod.render_batch_report(results, args.format))
+        write_output(args.output, batch_mod.render_batch_report(results, args.format))
         log.info("wrote batch report to %s", args.output)
     if batch_mod.total_violations(results):
         print("batch: property violations detected", file=sys.stderr)
@@ -186,6 +192,7 @@ def cmd_batch(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",

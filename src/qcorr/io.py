@@ -15,7 +15,8 @@ Each format is defined once, here:
   ``build_config`` applies it. The evolve flags are entered under the same
   keys, so a flag value is parsed like the file value it replaces.
 * Result tables (``render_table``) are one record or a list of records,
-  written as JSON or CSV.
+  written as JSON or CSV; every command writes its file through
+  ``write_output``.
 
 All numeric output is rendered with a fixed 15-significant-digit format
 so that rerunning a command with the same inputs produces byte-identical
@@ -197,6 +198,15 @@ def render_table(table: dict | list[dict], fmt: str) -> str:
     lines = [",".join(keys)]
     lines += [",".join([_cell(rec[k]) for k in keys]) for rec in records]
     return "\n".join(lines) + "\n"
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write a command's result file; a path that cannot be written is a
+    ConfigError naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def report_text(report: CorrelationReport) -> str:

@@ -3,8 +3,10 @@ from hypothesis import HealthCheck, settings
 
 from qcorr import BellDiagonalState, random_density_matrix, random_unitary
 
+# derandomize: every run draws the same examples, so a tier-1 result does not
+# depend on the draw or on a local example database
 settings.register_profile(
-    "qcorr", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    "qcorr", deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("qcorr")
 

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcorr import BellDiagonalState, make_trajectory, random_density_matrix
+from qcorr import BellDiagonalState, cli, make_trajectory, random_density_matrix
 from qcorr.batch import render_batch_report, run_batch_campaigns
+from qcorr.bloch import bloch_decompose
 from qcorr.cli import main
 from qcorr.io import (
     ConfigError,
@@ -24,6 +25,8 @@ from qcorr.io import (
     trajectory_rows,
     write_state_file,
 )
+from qcorr.measures import report_from_record, scaled_record
+from qcorr.protocol import run_direct_protocol
 
 
 def write_bell_file(path, c, mode="deviation"):
@@ -390,6 +393,83 @@ def test_cli_protocol_shot_mode_reproducible(tmp_path, capsys):
     assert "x_error" in doc and "c_error" in doc
 
 
+def test_cli_parser_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_consecutive_calls_share_no_state(tmp_path, capsys):
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
+    a, b = tmp_path / "a.json", tmp_path / "b_out.json"
+    assert main(["protocol", "--state", bell, "--shots", "10", "--seed", "1",
+                 "--output", str(a)]) == 0
+    assert main(["protocol", "--state", bell, "--output", str(b)]) == 0
+    doc = json.loads(b.read_text())
+    assert "x_error" not in doc and doc["shots"] is None
+    # a state with local Bloch vectors, so the flag changes the report
+    matrix = tmp_path / "m.json"
+    write_state_file(matrix, random_density_matrix(4, seed=3))
+    capsys.readouterr()
+    assert main(["measure", "--state", str(matrix)]) == 0
+    default = capsys.readouterr().out
+    assert main(["measure", "--state", str(matrix), "--no-include-local-bloch"]) == 0
+    assert capsys.readouterr().out != default
+    assert main(["measure", "--state", str(matrix)]) == 0
+    assert capsys.readouterr().out == default
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--state", str(matrix), "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["measure", "--state", str(matrix)]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_cli_unwritable_output_exit_2(tmp_path, capsys):
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+    target = tmp_path / "missing" / "out.csv"
+    for argv in (["measure", "--state", bell], ["protocol", "--state", bell],
+                 ["evolve", "--state", bell, "--points", "21"],
+                 ["batch", "--n", "5", "--seed", "1"]):
+        assert main(argv + ["--output", str(target)]) == 2, argv
+        assert f"cannot write {target}" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
+def test_cli_protocol_shots_beyond_int64_exit_2(tmp_path, capsys):
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
+    assert main(["protocol", "--state", bell, "--shots", str(2**63),
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "shots" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, capsys):
+    stacked = []
+
+    def recording(*args, **kwargs):
+        reports = report_from_record(*args, **kwargs)
+        stacked.append(reports)
+        return reports
+
+    monkeypatch.setattr(cli, "report_from_record", recording)
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])  # deviation, q_n set
+    matrix = tmp_path / "m.json"
+    write_state_file(matrix, random_density_matrix(4, rank=2, seed=8))
+    for path, shots in ((bell, None), (bell, 500), (str(matrix), None), (str(matrix), 500)):
+        stacked.clear()
+        argv = ["protocol", "--state", path]
+        if shots is not None:
+            argv += ["--shots", str(shots), "--seed", "2"]
+        assert main(argv) == 0
+        assert len(stacked) == 1  # one measure call per protocol run
+        rho, mode, eps = cli._state_to_matrix(load_state_file(path), None)
+        measured = run_direct_protocol(rho, shots=shots, seed=2 if shots else 0)
+        direct, units = scaled_record(measured.to_bloch_record(), mode, eps)
+        tomo, _ = scaled_record(bloch_decompose(rho, 2), mode, eps)
+        assert stacked[0] == [report_from_record(direct, 2, rho=rho, units=units),
+                              report_from_record(tomo, 2, rho=rho, units=units)]
+    capsys.readouterr()
+
+
 def test_cli_batch_ok(tmp_path, capsys):
     out = tmp_path / "batch.csv"
     assert main(["batch", "--n", "40", "--seed", "9", "--output", str(out)]) == 0
@@ -466,7 +546,12 @@ _EPSILONS = st.one_of(
 )
 
 
+_HUGE_BELL = {"kind": "bell", "c": [1e308, 1e308, 0.0], "mode": "deviation"}
+
+
 @given(st.sampled_from(["measure", "protocol"]), _STATE_DOCS, _EPSILONS)
+@example(command="measure", doc=_HUGE_BELL, epsilon=None)
+@example(command="protocol", doc=_HUGE_BELL, epsilon=None)
 @settings(max_examples=150)
 def test_cli_fuzz_state_documents(tmp_path_factory, command, doc, epsilon):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
@@ -510,6 +595,9 @@ _EVOLVE_FLAG_VALUES = st.sampled_from(
        st.lists(st.tuples(st.sampled_from(["--dt", "--t-max", "--points", "--epsilon"]),
                           _EVOLVE_FLAG_VALUES), max_size=3),
        st.booleans())
+@example(lines=["state.c = 1e308 1e308 0"], flags=[], inline_state=True)
+@example(lines=[], flags=[("--dt", "1e308")], inline_state=False)
+@example(lines=["relaxation.t1_a = 1e-320"], flags=[], inline_state=True)
 @settings(max_examples=100, deadline=None)
 def test_cli_fuzz_evolve(tmp_path_factory, lines, flags, inline_state):
     tmp = tmp_path_factory.mktemp("evolve")

@@ -18,6 +18,8 @@ from qcorr import (
     run_direct_protocol,
     s_matrix,
 )
+from qcorr.bloch import SIGMA_X
+from qcorr.protocol import LOCAL_ROTATIONS, _READOUTS, _UNITARIES, _UNITARIES_H
 
 
 def bell_phi_plus():
@@ -99,6 +101,11 @@ def test_direct_correlation_index_validation():
         direct_correlation(bell_phi_plus(), 0, 1)
     with pytest.raises(ValueError):
         direct_correlation(bell_phi_plus(), 1, 4)
+    with pytest.raises(ValueError, match=r"correlation indices must lie in 1..3, got \(1, 4\)"):
+        direct_correlation(bell_phi_plus(), 1, 4)
+    for nu in (0, 4):
+        with pytest.raises(ValueError, match=f"local index must lie in 1..3, got {nu}"):
+            direct_local(bell_phi_plus(), nu)
 
 
 def test_direct_readouts_match_decomposition_everywhere():
@@ -188,6 +195,54 @@ def test_protocol_shot_error_scales_with_shots():
 def test_protocol_rejects_zero_shots():
     with pytest.raises(ValueError):
         run_direct_protocol(bell_phi_plus(), shots=0)
+
+
+def test_protocol_rejects_shots_beyond_int64():
+    # rejected before any binomial is drawn
+    with pytest.raises(ValueError, match="shots"):
+        run_direct_protocol(bell_phi_plus(), shots=np.iinfo(np.int64).max + 1, seed=1)
+
+
+def _fresh_unitary(nu, lam):
+    if lam is None:
+        return np.kron(rotation_gate(*LOCAL_ROTATIONS[nu]), np.eye(2, dtype=complex))
+    entry = ROTATION_TABLE[(nu, lam)]
+    return cnot_gate() @ np.kron(
+        rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
+    )
+
+
+def test_readout_stack_is_constant_and_built_from_the_gates():
+    assert _UNITARIES.shape == _UNITARIES_H.shape == (12, 4, 4)
+    for stack in (_UNITARIES, _UNITARIES_H):
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+    for k, (nu, lam) in enumerate(_READOUTS):
+        u = _fresh_unitary(nu, lam)
+        assert np.array_equal(_UNITARIES[k], u)
+        assert np.array_equal(_UNITARIES_H[k], u.conj().T)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=100)
+def test_protocol_equals_per_readout_loop(seed, rank):
+    # the reference: one unitary built, applied and read out per readout
+    rho = random_density_matrix(4, rank=rank, seed=seed)
+    readout = np.kron(SIGMA_X, np.eye(2, dtype=complex))
+    values = {}
+    for nu, lam in _READOUTS:
+        u = _fresh_unitary(nu, lam)
+        values[nu, lam] = float(np.einsum("ij,ji->", readout, u @ rho @ u.conj().T).real)
+    x_ref = np.array([values[nu, None] for nu in (1, 2, 3)])
+    c_ref = np.array([[ROTATION_TABLE[nu, lam].sign * values[nu, lam] for lam in (1, 2, 3)]
+                      for nu in (1, 2, 3)])
+    record = run_direct_protocol(rho)
+    assert np.array_equal(record.x_est, x_ref)
+    assert np.array_equal(record.c_est, c_ref)
+    for nu in (1, 2, 3):
+        assert direct_local(rho, nu) == x_ref[nu - 1]
+        for lam in (1, 2, 3):
+            assert direct_correlation(rho, nu, lam) == c_ref[nu - 1, lam - 1]
 
 
 def test_measurement_budget():
