@@ -11,8 +11,6 @@ Usage: python scripts/run_dynamics.py [--outdir data] [--points 251]
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from qcorr import (
     BellDiagonalState,
     RelaxationParams,
@@ -58,8 +56,7 @@ def main() -> int:
         print(f"  sudden transition at t* = {format_float(hit.t_star)} s "
               f"(grid index {hit.index})")
         for key in ("d_g", "q", "q_n"):
-            series = np.array([getattr(r, key) for r in traj.reports])
-            left, right = one_sided_slopes(series, traj.times, hit.index)
+            left, right = one_sided_slopes(getattr(traj.reports, key), traj.times, hit.index)
             gap = abs(left - right) / max(abs(left), abs(right))
             print(f"    {key:<3} slopes: left {format_float(left)}, "
                   f"right {format_float(right)}  (split {gap:.1%})")

@@ -12,7 +12,7 @@ are reproducible and campaigns are insensitive to one another.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class CampaignResult:
     violations: int
     worst: float
     tolerance: float
-
-    def as_record(self) -> dict:
-        return asdict(self)
 
 
 def _campaign(name: str, values: np.ndarray, tolerance: float) -> CampaignResult:
@@ -87,7 +84,8 @@ def total_violations(results: list[CampaignResult]) -> int:
 
 def render_batch_report(results: list[CampaignResult], fmt: str = "text") -> str:
     if fmt != "text":
-        return render_table([r.as_record() for r in results], fmt)
+        return render_table({f.name: [getattr(r, f.name) for r in results]
+                             for f in fields(CampaignResult)}, fmt)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

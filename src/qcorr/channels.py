@@ -163,8 +163,8 @@ def _relax(r0: np.ndarray, times, params: RelaxationParams | None) -> np.ndarray
 
 
 def _states(r: np.ndarray) -> np.ndarray:
-    """sum_ij R_ij sigma_i (x) sigma_j / 4 for a stack of coefficient matrices."""
-    return np.einsum("nij,ijab->nab", r, _PAULI_PRODUCTS) / 4.0
+    """sum_ij R_ij sigma_i (x) sigma_j / 4 over a stack of coefficient matrices, in one matmul."""
+    return (r.reshape(-1, 16) @ _PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4) / 4.0
 
 
 def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -> np.ndarray:
@@ -190,12 +190,15 @@ def j_coupling_unitary(j: float, t: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Time series of an evolving two-qubit state with its measures."""
+    """Time series of an evolving two-qubit state with its measures, by column:
+    ``times`` (n,), ``states`` (n, 4, 4), ``bell_coeffs`` (n, 3) and the stacked
+    CorrelationReport ``reports`` of (n,) columns, NaN where a one-state report
+    holds None; ``reports`` is also the sequence of the n one-state reports."""
 
     times: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     bell_coeffs: np.ndarray
-    reports: list[CorrelationReport] = field(repr=False)
+    reports: CorrelationReport = field(repr=False)
 
 
 def make_trajectory(
@@ -247,7 +250,7 @@ def make_trajectory(
     rec, units = scaled_record(stacked, state0.mode, params.epsilon, include_local_bloch)
     reports = report_from_record(rec, 2, rho=states, units=units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
-    return Trajectory(times=times, states=list(states), bell_coeffs=coeffs, reports=reports)
+    return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def detect_transition(traj: Trajectory) -> TransitionPoint | None:
     if n < 5:
         raise ValueError(f"trajectory must have at least 5 points, got {n}")
     dominant = np.argmax(np.abs(traj.bell_coeffs), axis=1)
-    d_g = np.array([r.d_g for r in traj.reports])
+    d_g = traj.reports.d_g
     second = d_g[2:] - 2.0 * d_g[1:-1] + d_g[:-2]  # second[k] sits at grid k+1
     median = float(np.median(np.abs(second)))
     for i in range(2, n):

@@ -8,8 +8,10 @@ Subcommands::
     qcorr batch     seeded cross-check campaigns over random states
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid state,
-4 property violation in a batch run. The QCORR_LOG environment variable
-sets log verbosity only; it never affects numeric output.
+4 property violation in a batch run. Every command writes its output
+file before it prints, so an unwritable path exits 2 with nothing on
+stdout. The QCORR_LOG environment variable sets log verbosity only; it
+never affects numeric output.
 
 The argument parser is built once per process, on the first ``main``
 call, and reused; each call still parses into a fresh namespace.
@@ -64,10 +66,10 @@ def cmd_measure(args) -> int:
     check_density_matrix(rho)
     report = full_report(rho, mode=mode, epsilon=eps,
                          include_local_bloch=args.include_local_bloch)
-    print(report_text(report))
     if args.output:
         write_output(args.output, render_table(report.as_record(), args.format))
         log.info("wrote report to %s", args.output)
+    print(report_text(report))
     return 0
 
 
@@ -133,20 +135,17 @@ def cmd_protocol(args) -> int:
     both, units = scaled_record(BlochRecord(x=np.stack([direct.x, tomo.x]),
                                             y=np.stack([direct.y, tomo.y]),
                                             C=np.stack([direct.C, tomo.C])), mode, eps)
-    direct_report, tomo_report = report_from_record(both, 2, rho=np.stack([rho, rho]),
-                                                    units=units)
+    reports = report_from_record(both, 2, rho=np.stack([rho, rho]), units=units)
+    direct_report, tomo_report = reports
+    # q_n counts only where both runs define it (NaN otherwise)
+    max_diff = float(np.nanmax([abs(col[0] - col[1])
+                                for col in (reports.d_g, reports.q, reports.q_n)]))
 
     direct_n, tomo_n = measurement_budget(2)
-    print(f"budget: direct: {direct_n}, tomography: {tomo_n}")
-    print("[direct]")
-    print(report_text(direct_report))
-    print("[tomography]")
-    print(report_text(tomo_report))
-    diffs = [abs(direct_report.d_g - tomo_report.d_g), abs(direct_report.q - tomo_report.q)]
-    if direct_report.q_n is not None and tomo_report.q_n is not None:
-        diffs.append(abs(direct_report.q_n - tomo_report.q_n))
-    max_diff = max(diffs)
-    print(f"max measure difference = {format_float(max_diff)}")
+    lines = [f"budget: direct: {direct_n}, tomography: {tomo_n}",
+             "[direct]", report_text(direct_report),
+             "[tomography]", report_text(tomo_report),
+             f"max measure difference = {format_float(max_diff)}"]
 
     doc = {
         "budget": {"direct": direct_n, "tomography": tomo_n},
@@ -164,16 +163,17 @@ def cmd_protocol(args) -> int:
         diff = BlochRecord(x=np.abs(measured.x_est - exact.x_est), y=np.zeros(3),
                            C=np.abs(measured.c_est - exact.c_est))
         err, _ = scaled_record(diff, mode, eps)
-        print("statistical error (x readouts): "
-              + " ".join(format_float(v) for v in err.x))
+        lines.append("statistical error (x readouts): "
+                     + " ".join(format_float(v) for v in err.x))
         for i, row in enumerate(err.C, start=1):
-            print(f"statistical error (c row {i}): "
-                  + " ".join(format_float(v) for v in row))
+            lines.append(f"statistical error (c row {i}): "
+                         + " ".join(format_float(v) for v in row))
         doc["x_error"] = err.x
         doc["c_error"] = err.C
     if args.output:
         write_output(args.output, render_table(doc, "json"))
         log.info("wrote protocol report to %s", args.output)
+    print("\n".join(lines))
     return 0
 
 
@@ -182,10 +182,10 @@ def cmd_batch(args) -> int:
     if not dims or any(d < 2 for d in dims):
         raise ConfigError(f"--dims must list dimensions >= 2, got {args.dims!r}")
     results = batch_mod.run_batch_campaigns(args.n, args.seed, dims)
-    print(batch_mod.render_batch_report(results, "text"), end="")
     if args.output:
         write_output(args.output, batch_mod.render_batch_report(results, args.format))
         log.info("wrote batch report to %s", args.output)
+    print(batch_mod.render_batch_report(results, "text"), end="")
     if batch_mod.total_violations(results):
         print("batch: property violations detected", file=sys.stderr)
         return 4

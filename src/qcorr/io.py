@@ -14,9 +14,9 @@ Each format is defined once, here:
   the ``ExperimentConfig`` field it sets and the parser of its text;
   ``build_config`` applies it. The evolve flags are entered under the same
   keys, so a flag value is parsed like the file value it replaces.
-* Result tables (``render_table``) are one record or a list of records,
-  written as JSON or CSV; every command writes its file through
-  ``write_output``.
+* Result tables (``render_table``) are columns, key -> one value per
+  row, or one record, written as JSON or CSV; every command writes its
+  file through ``write_output``.
 
 All numeric output is rendered with a fixed 15-significant-digit format
 so that rerunning a command with the same inputs produces byte-identical
@@ -172,32 +172,32 @@ def write_state_file(path: str | Path, rho: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # result tables
 
-def _cell(v) -> str:
-    """One CSV cell: a number as in JSON, text as is, None empty."""
-    if isinstance(v, float):  # tested first: nearly every cell is one
-        return format_float(v)
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    return _json_scalar(v)
+def _csv_column(column) -> list[str]:
+    """The CSV cells of one column: numbers as in JSON, text as is and a
+    missing value (None, or NaN in a float array) empty."""
+    if isinstance(column, np.ndarray):
+        return ["" if v != v else f"{v:.15g}" for v in column.tolist()]
+    return ["" if v is None else v if isinstance(v, str) else _json_scalar(v) for v in column]
 
 
-def render_table(table: dict | list[dict], fmt: str) -> str:
-    """One record or a list of records as a JSON document or a CSV table.
-
-    The CSV header is the first record's keys, followed by one line per
-    record.
-    """
+def render_table(table: dict, fmt: str) -> str:
+    """A result table as a JSON list of row objects or a CSV table (the keys as
+    header, then one line per row). ``table`` maps each key to its column, a list
+    or a 1-D float array; a missing value, None in a list or NaN in an array, is
+    an empty cell or JSON null. A table of single values is one record, which
+    JSON writes as one object."""
+    if not isinstance(next(iter(table.values())), (list, np.ndarray)):
+        if fmt == "json":
+            return dump_json(table) + "\n"
+        table = {key: [value] for key, value in table.items()}
     if fmt == "json":
-        return dump_json(table) + "\n"
+        columns = [[None if v != v else v for v in col.tolist()]
+                   if isinstance(col, np.ndarray) else col for col in table.values()]
+        return dump_json([dict(zip(table, row)) for row in zip(*columns)]) + "\n"
     if fmt != "csv":
         raise ConfigError(f"unknown format {fmt!r}")
-    records = [table] if isinstance(table, dict) else table
-    keys = list(records[0])
-    lines = [",".join(keys)]
-    lines += [",".join([_cell(rec[k]) for k in keys]) for rec in records]
-    return "\n".join(lines) + "\n"
+    rows = zip(*[_csv_column(col) for col in table.values()])
+    return "\n".join([",".join(table), *map(",".join, rows)]) + "\n"
 
 
 def write_output(path: str | Path, text: str) -> None:
@@ -218,23 +218,13 @@ def report_text(report: CorrelationReport) -> str:
     return "\n".join(lines)
 
 
-def trajectory_rows(traj: Trajectory):
-    for i, t in enumerate(traj.times):
-        rep = traj.reports[i]
-        yield {
-            "t": float(t),
-            "c1": float(traj.bell_coeffs[i, 0]),
-            "c2": float(traj.bell_coeffs[i, 1]),
-            "c3": float(traj.bell_coeffs[i, 2]),
-            "d_g": rep.d_g,
-            "q": rep.q,
-            "q_n": rep.q_n,
-            "negativity": rep.negativity,
-        }
-
-
 def serialize_trajectory(traj: Trajectory, fmt: str) -> str:
-    return render_table(list(trajectory_rows(traj)), fmt)
+    """The trajectory as a result table, one row per grid point with columns
+    t, c1, c2, c3, d_g, q, q_n, negativity."""
+    coeffs, rep = traj.bell_coeffs, traj.reports
+    return render_table({"t": traj.times, "c1": coeffs[:, 0], "c2": coeffs[:, 1],
+                         "c3": coeffs[:, 2], "d_g": rep.d_g, "q": rep.q, "q_n": rep.q_n,
+                         "negativity": rep.negativity}, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,12 @@ BELL_DIAGONAL_TOL = 1e-8
 
 UNITS_FULL = "eps^0"
 UNITS_DEVIATION = "eps^2/eps^1"
+_MEASURES = ("d_g", "q", "theta", "q_n", "negativity")  # the CorrelationReport columns
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All correlation measures of one state.
+    """All correlation measures of one state, or of a stack of states.
 
     ``theta`` is None when the spectrum of S is degenerate (the angle is
     0/0 there); ``q_n`` is None unless the state is Bell diagonal within
@@ -49,18 +50,36 @@ class CorrelationReport:
     power of the thermal polarization the numbers carry: quadratic
     measures (d_g, q) scale as eps^2 and q_n as eps^1 in deviation mode.
 
+    The report of a stack holds one column per measure, a 1-D float array
+    over the states in C order, with NaN where a one-state report holds None.
+    It is also the sequence of those one-state reports: ``len``, indexing
+    (negative too) and iteration give them, with NaN mapped back to None,
+    and assigning a one-state report to an item writes it into the columns.
+
     d_g and q are not clamped at zero: on zero-discord states they may
     come out negative at round-off level (c = (1, 0, 0) gives d_g =
     -5.6e-17), so that cross-checks such as the batch campaigns see the
     raw round-off.
     """
 
-    d_g: float
-    q: float
-    theta: float | None
-    q_n: float | None
-    negativity: float | None
+    d_g: float | np.ndarray
+    q: float | np.ndarray
+    theta: float | np.ndarray | None
+    q_n: float | np.ndarray | None
+    negativity: float | np.ndarray | None
     units: str
+
+    def __len__(self) -> int:
+        return len(self.d_g)
+
+    def __getitem__(self, i: int) -> CorrelationReport:
+        d_g, q, *optional = (float(getattr(self, name)[i]) for name in _MEASURES)
+        return CorrelationReport(d_g, q, *(None if v != v else v for v in optional), self.units)
+
+    def __setitem__(self, i: int, report: CorrelationReport) -> None:
+        for name in _MEASURES:
+            value = getattr(report, name)
+            getattr(self, name)[i] = np.nan if value is None else value
 
     def as_record(self) -> dict:
         return asdict(self)
@@ -214,41 +233,31 @@ def report_from_record(
     d: int | None = None,
     rho: np.ndarray | None = None,
     units: str = UNITS_FULL,
-) -> CorrelationReport | list[CorrelationReport]:
+) -> CorrelationReport:
     """Assemble a CorrelationReport from (already scaled) Bloch data.
 
     q_n is only filled in when the record is Bell diagonal within
     tolerance; negativity is evaluated on the accompanying full-state
     matrix when one is given and the system is two qubits. A stacked
-    record, with a matching stack of states if any, gives a flat list of
-    reports in C order; a single record is its one-item case.
+    record, with a matching stack of states if any, gives one report of
+    columns over the flattened stack; a single record is its one-item
+    case and gives the report of plain numbers and None.
     """
-    single = record.x.ndim == 1
-    if single:
-        record = BlochRecord(x=record.x[None], y=record.y[None], C=record.C[None])
-        rho = None if rho is None else rho[None]
+    lead = record.x.ndim - 1
     if d is None:
         d = record.d
+    record = BlochRecord(*(a.reshape((-1,) + a.shape[lead:]) for a in
+                           (record.x, record.y, record.C)))
     s = s_matrix(record, d)
     d_g, theta = geometric_discord_closed(s)
-    q = q_lower_bound(s)
-    bell = is_bell_diagonal(record)
-    q_n = negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1))
-    neg = None
-    if rho is not None and rho.shape[-2:] == (4, 4):
-        neg = negativity(rho)
-    reports = [
-        CorrelationReport(
-            d_g=d_g[i],
-            q=q[i],
-            theta=None if np.isnan(theta[i]) else float(theta[i]),
-            q_n=float(q_n[i]) if bell[i] else None,
-            negativity=None if neg is None else float(neg[i]),
-            units=units,
-        )
-        for i in np.ndindex(bell.shape)
-    ]
-    return reports[0] if single else reports
+    q_n = np.where(is_bell_diagonal(record),
+                   negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1)),
+                   np.nan)
+    two_qubits = rho is not None and rho.shape[-2:] == (4, 4)
+    neg = negativity(rho.reshape(-1, 4, 4)) if two_qubits else np.full(d_g.shape, np.nan)
+    report = CorrelationReport(d_g=d_g, q=q_lower_bound(s), theta=theta, q_n=q_n,
+                               negativity=neg, units=units)
+    return report if lead else report[0]
 
 
 def scaled_record(

@@ -20,6 +20,7 @@ from qcorr import (
     random_density_matrix,
 )
 from qcorr.bloch import PAULIS
+from qcorr.channels import _PAULI_PRODUCTS, _relax, _states
 from qcorr.measures import UNITS_DEVIATION, full_report
 
 
@@ -270,6 +271,25 @@ def test_stacked_trajectory_matches_per_time_evolve(state, include_local_bloch):
         assert abs(report.q - want.q) <= 1e-10
         assert (report.q_n is None) == (want.q_n is None)
         assert report.units == (UNITS_DEVIATION if deviation else "eps^0")
+
+
+def states_by_einsum(r):
+    """Reference: sum_ij R_ij sigma_i (x) sigma_j / 4 as one einsum over the stack."""
+    return np.einsum("nij,ijab->nab", r, _PAULI_PRODUCTS) / 4.0
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.booleans())
+@settings(max_examples=100)
+def test_states_matmul_equals_einsum(seed, n, bell):
+    rng = np.random.default_rng(seed)
+    if bell:  # a relaxing Bell-diagonal state, as make_trajectory builds it
+        r0 = np.diag([1.0, *random_bell_state(rng).coefficients])
+        r = _relax(r0, np.sort(rng.uniform(0.0, 5.0, n)), RelaxationParams())
+    else:
+        r = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.uniform(-12, 3)
+    assert _states(r).tobytes() == states_by_einsum(r).tobytes()
+    # one row takes numpy's vector-matrix path, which may sum in another order
+    assert np.max(np.abs(_states(r[:1]) - states_by_einsum(r[:1]))) <= 1e-15 * np.max(np.abs(r))
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -1e-9])

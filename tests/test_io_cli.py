@@ -1,12 +1,13 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcorr import BellDiagonalState, cli, make_trajectory, random_density_matrix
@@ -22,7 +23,6 @@ from qcorr.io import (
     load_state_file,
     parse_config_file,
     serialize_trajectory,
-    trajectory_rows,
     write_state_file,
 )
 from qcorr.measures import report_from_record, scaled_record
@@ -46,6 +46,53 @@ def test_dump_json_deterministic():
     parsed = json.loads(dump_json(doc))
     assert parsed["b"] == [0.1, None, "x"]
     assert parsed["c"] == [1.5, 2.5]
+
+
+def trajectory_rows(traj):
+    """One dict per grid point, as the row-wise trajectory writer built them."""
+    for i, t in enumerate(traj.times):
+        rep = traj.reports[i]
+        yield {
+            "t": float(t),
+            "c1": float(traj.bell_coeffs[i, 0]),
+            "c2": float(traj.bell_coeffs[i, 1]),
+            "c3": float(traj.bell_coeffs[i, 2]),
+            "d_g": rep.d_g,
+            "q": rep.q,
+            "q_n": rep.q_n,
+            "negativity": rep.negativity,
+        }
+
+
+def serialize_trajectory_by_rows(traj, fmt):
+    """Reference writer: the row dicts as a JSON list, or a CSV line per dict."""
+    records = list(trajectory_rows(traj))
+    if fmt == "json":
+        return dump_json(records) + "\n"
+    keys = list(records[0])
+    lines = [",".join(keys)]
+    lines += [",".join("" if rec[k] is None else format_float(rec[k]) for k in keys)
+              for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80)
+@given(
+    c=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    mode=st.sampled_from(["full", "deviation"]),
+    n_points=st.integers(5, 300),
+    include_local_bloch=st.booleans(),
+)
+@example(c=(0.5, -0.06, 0.24), mode="deviation", n_points=251, include_local_bloch=True)
+@example(c=(0.9, -0.9, 0.8), mode="full", n_points=5, include_local_bloch=False)
+def test_serialize_trajectory_equals_row_writer(c, mode, n_points, include_local_bloch):
+    try:
+        state = BellDiagonalState(*c, mode=mode)
+    except ValueError:  # outside the Bell tetrahedron
+        assume(False)
+    traj = make_trajectory(state, n_points=n_points, include_local_bloch=include_local_bloch)
+    for fmt in ("csv", "json"):
+        assert serialize_trajectory(traj, fmt) == serialize_trajectory_by_rows(traj, fmt)
 
 
 def _csv_matches(text, records):
@@ -72,7 +119,7 @@ def test_csv_round_trip():
     assert None in q_n and any(v is not None for v in q_n)  # empty and filled cells
     _csv_matches(serialize_trajectory(traj, "csv"), records)
     results = run_batch_campaigns(20, 4, dims=(2, 3))
-    _csv_matches(render_batch_report(results, "csv"), [r.as_record() for r in results])
+    _csv_matches(render_batch_report(results, "csv"), [dataclasses.asdict(r) for r in results])
 
 
 def test_cli_protocol_output_key_order(tmp_path, capsys):
@@ -430,7 +477,9 @@ def test_cli_unwritable_output_exit_2(tmp_path, capsys):
                  ["evolve", "--state", bell, "--points", "21"],
                  ["batch", "--n", "5", "--seed", "1"]):
         assert main(argv + ["--output", str(target)]) == 2, argv
-        assert f"cannot write {target}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"cannot write {target}" in captured.err
+        assert captured.out == "", argv  # no report of a run that failed
     assert not target.parent.exists()
 
 
@@ -465,8 +514,8 @@ def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, 
         measured = run_direct_protocol(rho, shots=shots, seed=2 if shots else 0)
         direct, units = scaled_record(measured.to_bloch_record(), mode, eps)
         tomo, _ = scaled_record(bloch_decompose(rho, 2), mode, eps)
-        assert stacked[0] == [report_from_record(direct, 2, rho=rho, units=units),
-                              report_from_record(tomo, 2, rho=rho, units=units)]
+        assert list(stacked[0]) == [report_from_record(direct, 2, rho=rho, units=units),
+                                    report_from_record(tomo, 2, rho=rho, units=units)]
     capsys.readouterr()
 
 

@@ -271,6 +271,11 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
     }
     reports = report_from_record(records, d, rho=rhos)
     assert len(reports) == n
+    # each column holds NaN exactly where the one-state reports hold None
+    for key in ("theta", "q_n", "negativity"):
+        column = getattr(reports, key)
+        assert column.shape == (n,)
+        assert np.array_equal(np.isnan(column), [getattr(r, key) is None for r in reports])
     if d == 2:
         stacked["negativity"] = negativity(rhos)
     for i in range(n):
@@ -288,4 +293,6 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         assert stacked["bell"][i] == is_bell_diagonal(record)
         if d == 2:
             assert stacked["negativity"][i] == negativity(rhos[i])
-        assert reports[i] == report_from_record(record, d, rho=rhos[i])
+        single = report_from_record(record, d, rho=rhos[i])
+        assert reports[i] == reports[i - n] == single
+        assert all(type(getattr(single, key)) is float for key in ("d_g", "q"))

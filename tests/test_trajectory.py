@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,17 @@ def test_default_grid():
     assert traj.times[1] == pytest.approx(1.0 / (4 * params.j_coupling))
     assert len(traj.states) == len(traj.reports) == 11
     assert traj.bell_coeffs.shape == (11, 3)
+
+
+def test_reports_view_reads_and_writes_the_columns():
+    traj = make_trajectory(RHO2, n_points=11, include_local_bloch=True)
+    reports = traj.reports
+    assert len(reports) == 11 and reports[-1] == reports[10]
+    q_n = reports.q_n.tolist()
+    assert [r.q_n for r in reports] == [None if np.isnan(v) else v for v in q_n]
+    assert np.isnan(q_n).any() and not np.isnan(q_n).all()  # both None and numbers
+    reports[3] = dataclasses.replace(reports[3], d_g=1.0, q_n=None)
+    assert reports.d_g[3] == 1.0 and np.isnan(reports.q_n[3]) and reports[3].q_n is None
 
 
 def test_t_max_grid():
@@ -137,15 +150,14 @@ def test_full_mode_trajectory():
 
 def synthetic_trajectory(values):
     n = len(values)
-    reports = [
-        CorrelationReport(d_g=v, q=v, theta=None, q_n=None, negativity=None, units="eps^0")
-        for v in values
-    ]
+    values, missing = np.array(values, dtype=float), np.full(n, np.nan)
+    report = CorrelationReport(d_g=values, q=values, theta=missing, q_n=missing,
+                               negativity=missing, units="eps^0")
     return Trajectory(
         times=np.arange(n, dtype=float),
-        states=[np.eye(4, dtype=complex) / 4.0] * n,
+        states=np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1)),
         bell_coeffs=np.tile([0.3, 0.2, 0.1], (n, 1)),
-        reports=reports,
+        reports=report,
     )
 
 
