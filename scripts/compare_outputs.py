@@ -5,7 +5,10 @@ Runs a fixed set of ``qcorr`` commands (measure, protocol, evolve and
 batch, in every output format) once with this checkout's ``src`` and
 once with OTHER_SRC, on the same input files in a temporary directory.
 Every file a command writes, its stdout and its exit code are compared;
-each output that differs is named and the script exits 1.
+each output that differs is named and the script exits 1. Beside each
+name it prints the largest absolute difference between the numbers at
+the same token positions of the two outputs, or "structure differs"
+when the text around the numbers, or their count, is not the same.
 
 Usage: python scripts/compare_outputs.py OTHER_SRC
 
@@ -16,6 +19,7 @@ command reruns to the same bytes.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,8 @@ STATES = {
     "bell_deviation": {"kind": "bell", "c": [0.5, -0.06, 0.24], "mode": "deviation"},
     "bell_full": {"kind": "bell", "c": [0.5, -0.3, 0.2], "mode": "full"},
 }
+#: a decimal number token; nan, inf and null count as text, so they only match themselves
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 #: random 2 x d matrix states, d -> rank
 MATRIX_DIMS = {2: 3, 3: 2, 4: 5}
 
@@ -110,6 +116,17 @@ def run_side(src: Path, inputs: Path, workdir: Path) -> dict[str, bytes]:
     return outputs
 
 
+def number_difference(ours: bytes, theirs: bytes) -> str:
+    """Largest |a - b| over the numbers at the same token positions, or
+    "structure differs" when anything but those numbers differs."""
+    a, b = NUMBER.split(ours), NUMBER.split(theirs)
+    # split keeps the numbers at odd positions, the text between them at even ones
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return "structure differs"
+    largest = max((abs(float(x) - float(y)) for x, y in zip(a[1::2], b[1::2])), default=0.0)
+    return f"largest number difference {largest:.3g}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path, help="src directory of the other checkout")
@@ -127,7 +144,7 @@ def main() -> int:
     for name in failed:
         print(f"failed here: {name[:-len('.exit')]} (exit {ours[name].decode()})")
     for name in differ:
-        print(f"differs: {name}")
+        print(f"differs: {name} ({number_difference(ours.get(name, b''), theirs.get(name, b''))})")
     print(f"{len(ours.keys() | theirs.keys())} outputs compared, {len(differ)} differ")
     return 1 if differ or failed else 0
 

@@ -43,6 +43,7 @@ from .measures import (
     negativity_of_quantumness_bell,
     q_lower_bound,
     report_from_record,
+    s_from_states,
     s_matrix,
 )
 from .protocol import (
@@ -99,6 +100,7 @@ __all__ = [
     "report_from_record",
     "rotation_gate",
     "run_direct_protocol",
+    "s_from_states",
     "s_matrix",
     "sym3_eigenvalues",
 ]

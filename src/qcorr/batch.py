@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bloch import bloch_decompose, random_density_matrix
+from .bloch import random_density_matrix
 from .io import format_float, render_table
 from .measures import geometric_discord_closed, geometric_discord_eig, negativity, \
-    q_lower_bound, s_matrix
+    q_lower_bound, s_from_states
 
 CLOSED_VS_EIG_TOL = 1e-9
 ORDER_TOL = 1e-10
@@ -56,7 +56,7 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
         ranks cycling through 1..max_rank, their S matrices and closed-form discord."""
         rhos = random_density_matrix(2 * d, rank=1 + np.arange(n) % max_rank,
                                      seed=np.random.default_rng(next(children)))
-        s = s_matrix(bloch_decompose(rhos, d), d)
+        s = s_from_states(rhos, d)
         return rhos, s, geometric_discord_closed(s)[0]
 
     results: list[CampaignResult] = []

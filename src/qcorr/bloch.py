@@ -14,8 +14,11 @@ normalization the expansion
 makes decomposition and composition exact mutual inverses (for d = 2 all
 prefactors reduce to the familiar 1/4). ``bloch_decompose`` accepts a
 stack of states (leading axes before the matrix axes) and returns a
-record whose arrays carry the same leading axes; ``random_density_matrix``
-draws a stack with the states and random stream of one call per state.
+record whose arrays carry the same leading axes; it projects onto all
+4d^2 - 1 product operators, a stack of 16 d^4 complex entries.
+``random_density_matrix`` draws a stack of Ginibre states of mixed rank
+in one padded (dim x dim) matrix product, bit for bit the states and
+random stream of one call per state.
 """
 from __future__ import annotations
 
@@ -189,11 +192,16 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
 def random_density_matrix(
     dim: int, rank: int | np.ndarray | None = None, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
-    """Random density matrix G G^dag / tr[G G^dag] with Ginibre G (dim x rank).
+    """Random density matrix G G^dag / tr[G G^dag] with Ginibre G of rank ``rank``.
 
     ``rank`` (default dim) is an int in [1, dim] for one (dim, dim) state, or a
-    1-D int sequence for a (len(rank), dim, dim) stack, one state per entry and
-    bit for bit the states one-at-a-time calls draw from the same stream.
+    1-D int sequence for a (len(rank), dim, dim) stack, one state per entry.
+    Every state's G is a dim x dim matrix whose columns from ``rank`` on are
+    zero, filled with the 2 * dim * rank normals the state takes from the stream;
+    the whole stack is then one matrix product, one trace normalisation and one
+    hermitisation. One state is the same product as an item of a stack, so a
+    stack is bit for bit the states one-at-a-time calls draw from the same
+    stream. Padding costs dim / rank times the flops of a dim x rank G.
     Deterministic for a fixed integer seed; a Generator may be passed instead.
     """
     ranks = np.asarray(dim if rank is None else rank)
@@ -203,18 +211,15 @@ def random_density_matrix(
     if min(values) < 1 or max(values) > dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
     rng = np.random.default_rng(seed)  # returns a Generator as it is
-    if len(set(values)) == 1:  # n states of one rank take normals in (n, 2, dim, rank) order
-        groups = [(slice(None), rng.standard_normal((ranks.size, 2, dim, values[0])))]
-    else:  # one matmul per rank: zero-padding G to one rank changes the BLAS sum order
-        z = rng.standard_normal(2 * dim * sum(values))
-        owner = np.repeat(values, 2 * dim * np.array(values))  # int64 even for uint8 ranks
-        groups = [(ranks == r, z[owner == r].reshape(-1, 2, dim, r)) for r in set(values)]
-    rho = np.empty((ranks.size, dim, dim), dtype=complex)
-    for rows, normals in groups:
-        g = normals[:, 0] + 1j * normals[:, 1]
-        h = g @ g.conj().swapaxes(1, 2)
-        h /= h.trace(axis1=1, axis2=2).real[:, None, None]
-        rho[rows] = (h + h.conj().swapaxes(1, 2)) / 2.0
+    # state i takes its 2 * dim * rank_i normals as (2, dim, rank_i) in C order, which is
+    # the C order of the unmasked entries of its (2, dim, dim) block
+    normals = np.zeros((ranks.size, 2, dim, dim))
+    used = np.broadcast_to(np.arange(dim) < ranks.reshape(-1, 1, 1, 1), normals.shape)
+    normals[used] = rng.standard_normal(2 * dim * sum(values))
+    g = normals[:, 0] + 1j * normals[:, 1]
+    h = g @ g.conj().swapaxes(1, 2)
+    h /= h.trace(axis1=1, axis2=2).real[:, None, None]
+    rho = (h + h.conj().swapaxes(1, 2)) / 2.0
     return rho.reshape(ranks.shape + (dim, dim))
 
 

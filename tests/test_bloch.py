@@ -160,7 +160,7 @@ def test_random_density_matrix_rank_out_of_range():
             random_density_matrix(4, rank=rank)
 
 
-@given(st.sampled_from([4, 6, 8, 10]), st.data(), st.booleans())
+@given(st.sampled_from([4, 6, 8, 10, 16, 32]), st.data(), st.booleans())
 @settings(max_examples=80)
 def test_stacked_draw_equals_single_draws(dim, data, int_seed):
     # a stacked draw is bit for bit the one-at-a-time draws from the same stream

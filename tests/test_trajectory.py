@@ -47,6 +47,21 @@ def test_reports_view_reads_and_writes_the_columns():
     assert reports.d_g[3] == 1.0 and np.isnan(reports.q_n[3]) and reports[3].q_n is None
 
 
+def test_reports_compare_by_column():
+    # NaN equals NaN in a column, so a stack with missing q_n still equals itself
+    a = make_trajectory(RHO2, n_points=5, include_local_bloch=True).reports
+    b = make_trajectory(RHO2, n_points=5, include_local_bloch=True).reports
+    assert np.isnan(a.q_n).any()
+    assert a == b and not a != b
+    b.d_g[2] += 1e-16
+    assert a != b
+    assert a != dataclasses.replace(a, units="eps^0")
+    assert a != make_trajectory(RHO2, n_points=6, include_local_bloch=True).reports
+    one, same = a[1], dataclasses.replace(a[1])
+    assert one == same and one.q_n is None and hash(one) == hash(same)
+    assert one != dataclasses.replace(one, q_n=0.0) and one != a[0] and one != a
+
+
 def test_t_max_grid():
     traj = make_trajectory(RHO1, t_max=1.0, n_points=5)
     assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
