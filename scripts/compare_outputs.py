@@ -91,6 +91,11 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     cmds["batch_text"] = batch
     for fmt in ("csv", "json"):
         cmds[f"batch_{fmt}"] = batch + ["--output", f"batch.{fmt}", "--format", fmt]
+    # one-sample campaigns, and repeated, unsorted dims at an n that is no multiple
+    # of any rank cycle: the row indexing of the stacked campaign pass
+    for label, (n, seed, dims) in {"n1": (1, 3, "2"), "n37": (37, 5, "5,2,2,8")}.items():
+        cmds[f"batch_{label}"] = ["batch", "--n", str(n), "--seed", str(seed), "--dims", dims,
+                                  "--output", f"batch_{label}.csv"]
     return cmds
 
 

@@ -23,7 +23,7 @@ def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > SYMMETRY_TOL:
+    if np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
     return np.linalg.eigvalsh(m)[..., ::-1]
 
@@ -33,6 +33,6 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) > HERMITICITY_TOL:
+    if np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return np.linalg.eigvalsh(a)[..., ::-1]

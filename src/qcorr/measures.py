@@ -131,7 +131,7 @@ def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:
     s = np.asarray(s_mat, dtype=float)
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    if np.max(np.abs(s - np.swapaxes(s, -1, -2))) > SYMMETRY_TOL:
+    if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
         raise ValueError("S matrix is not symmetric within 1e-12")
     return s
 

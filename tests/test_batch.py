@@ -1,11 +1,13 @@
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qcorr.batch
 from qcorr import (geometric_discord_closed, geometric_discord_eig, negativity, q_lower_bound,
                    random_density_matrix, s_from_states)
 from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL, \
-    CampaignResult, run_batch_campaigns
+    CampaignResult, _campaign, run_batch_campaigns
 
 
 def one_at_a_time_campaigns(n, seed, dims):
@@ -40,10 +42,12 @@ def one_at_a_time_campaigns(n, seed, dims):
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1),
-       st.lists(st.integers(2, 5), min_size=1, max_size=3))
+       st.lists(st.integers(2, 5), min_size=0, max_size=3))
+@example(3, 1, [])  # no 2 x d pair: the eigenvalue route and Q run on zero rows
 @settings(max_examples=20, deadline=None)
 def test_block_campaigns_equal_one_at_a_time_draws(n, seed, dims):
-    # one block draw per campaign keeps the random stream of per-sample draws
+    # one block draw per campaign keeps the random stream of per-sample draws, and
+    # one stacked call per measure gives each campaign's values bit for bit
     got = run_batch_campaigns(n, seed, dims)
     want = one_at_a_time_campaigns(n, seed, dims)
     assert len(got) == len(want)
@@ -60,3 +64,28 @@ def test_campaigns_at_large_d(seed):
     assert [r.name for r in results[:6]] == [f"{check}[d={d}]" for d in (8, 16, 32)
                                              for check in ("closed_vs_eig", "order_q_le_dg")]
     assert all(r.violations == 0 and np.isfinite(r.worst) for r in results)
+
+
+@pytest.mark.parametrize("dims", [(), (3,), (2, 3, 4), (5, 2, 2, 8)])
+def test_each_measure_runs_once_per_call(monkeypatch, dims):
+    calls = dict.fromkeys(("geometric_discord_closed", "geometric_discord_eig",
+                           "q_lower_bound", "negativity"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qcorr.batch, name, counted(name, getattr(qcorr.batch, name)))
+    results = run_batch_campaigns(4, 2, dims)
+    assert len(results) == 2 * len(dims) + 2
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_nan_sample_counts_as_a_violation():
+    # NaN is not within any tolerance, so a NaN worst never comes with 0 violations
+    result = _campaign("check", np.array([0.0, np.nan]), 1e-9)
+    assert result.violations == 1 and np.isnan(result.worst)
+    assert _campaign("check", np.array([0.0, 1e-9, 2e-9]), 1e-9).violations == 1

@@ -11,6 +11,7 @@ from qcorr import (
     full_report,
     geometric_discord_closed,
     geometric_discord_eig,
+    hermitian_eigenvalues,
     is_bell_diagonal,
     negativity,
     negativity_of_quantumness_bell,
@@ -321,3 +322,22 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         single = report_from_record(record, d, rho=rhos[i])
         assert reports[i] == reports[i - n] == single
         assert all(type(getattr(single, key)) is float for key in ("d_g", "q"))
+
+
+def test_measures_return_empty_on_an_empty_stack():
+    # the symmetry and Hermiticity checks take their max with an initial 0, so an
+    # empty stack gives empty results instead of a zero-size reduction error
+    s, rhos = np.zeros((0, 3, 3)), np.zeros((0, 4, 4))
+    results = {
+        "closed": geometric_discord_closed(s)[0],
+        "theta": geometric_discord_closed(s)[1],
+        "eig": geometric_discord_eig(s),
+        "q": q_lower_bound(s),
+        "negativity": negativity(rhos),
+        "q_n": negativity_of_quantumness_bell(np.zeros((0, 3))),
+    }
+    for name, value in results.items():
+        assert value.shape == (0,), name
+    assert sym3_eigenvalues(s).shape == (0, 3)
+    assert hermitian_eigenvalues(rhos).shape == (0, 4)
+    assert s_from_states(np.zeros((0, 6, 6)), 3).shape == (0, 3, 3)
