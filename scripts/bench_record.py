@@ -13,7 +13,9 @@ Runs ``bench/run.py`` from this checkout, unchanged:
   of every traced function).
 * ``cli``: wall time of ``qcorr evolve``, ``measure``, ``protocol`` and
   ``batch --n 1000`` as fresh subprocesses, import included, best of
-  CLI_REPEATS (``--quick``: QUICK_CLI_REPEATS).
+  CLI_REPEATS (``--quick``: QUICK_CLI_REPEATS). Beside them, ``numpy`` times
+  ``python -c "import numpy"``, the floor under every command, so that CLI
+  times from different hosts can be read as time above bare numpy.
 
 BLAS is pinned to one thread everywhere, as ``bench/run.py`` pins it.
 The file also holds the ``machine`` line ``bench/run.py`` prints. The
@@ -61,11 +63,11 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> tuple[dic
 
 
 def time_cli(argv: list[str], repeats: int, cwd: str) -> dict:
+    """Wall times of ``python *argv`` as a fresh subprocess."""
     times, codes = [], set()
     for _ in range(repeats):
         start = perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "qcorr", *argv], cwd=cwd, env=ENV,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=ENV, capture_output=True)
         times.append(perf_counter() - start)
         codes.add(proc.returncode)
     return {"argv": argv, "best_s": min(times), "runs_s": times,
@@ -98,11 +100,13 @@ def main() -> int:
         }
         _, layers[workload] = run_bench(workload, seeds[0], seconds, 1)
 
+    qcorr = ["-m", "qcorr"]
     commands = {
-        "evolve": ["evolve", "--state", "bell.json", "--output", "t.csv"],
-        "measure": ["measure", "--state", "bell.json"],
-        "protocol": ["protocol", "--state", "bell.json", "--shots", "4000", "--seed", "5"],
-        "batch": ["batch", "--n", "1000", "--seed", "1"],
+        "numpy": ["-c", "import numpy"],
+        "evolve": [*qcorr, "evolve", "--state", "bell.json", "--output", "t.csv"],
+        "measure": [*qcorr, "measure", "--state", "bell.json"],
+        "protocol": [*qcorr, "protocol", "--state", "bell.json", "--shots", "4000", "--seed", "5"],
+        "batch": [*qcorr, "batch", "--n", "1000", "--seed", "1"],
     }
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "bell.json").write_text(json.dumps(

@@ -32,7 +32,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: state files written as inputs: name -> document
 STATES = {
     "bell_deviation": {"kind": "bell", "c": [0.5, -0.06, 0.24], "mode": "deviation"},
-    "bell_full": {"kind": "bell", "c": [0.5, -0.3, 0.2], "mode": "full"},
+    # entangled until part-way through its evolve grid, with a transition on it
+    "bell_full": {"kind": "bell", "c": [0.6, -0.4, 0.3], "mode": "full"},
+    # at --dt 0.005 --points 60 its switch at index 20 goes unconfirmed
+    "bell_coarse": {"kind": "bell", "c": [0.8, -0.7, 0.45], "mode": "deviation"},
 }
 #: a decimal number token; nan, inf and null count as text, so they only match themselves
 NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -87,6 +90,11 @@ def commands(inputs: Path) -> dict[str, list[str]]:
                                        "--output", f"evolve_state.{fmt}", "--format", fmt]
         cmds[f"evolve_config_{fmt}"] = ["evolve", "--config", str(inputs / "evolve.cfg"),
                                         "--output", f"evolve_config.{fmt}", "--format", fmt]
+        cmds[f"evolve_full_{fmt}"] = ["evolve", "--state", str(inputs / "bell_full.json"),
+                                      "--output", f"evolve_full.{fmt}", "--format", fmt]
+        cmds[f"evolve_coarse_{fmt}"] = ["evolve", "--state", str(inputs / "bell_coarse.json"),
+                                        "--dt", "0.005", "--points", "60",
+                                        "--output", f"evolve_coarse.{fmt}", "--format", fmt]
     batch = ["batch", "--n", "200", "--seed", "11", "--dims", "2,3,4"]
     cmds["batch_text"] = batch
     for fmt in ("csv", "json"):

@@ -174,9 +174,11 @@ def write_state_file(path: str | Path, rho: np.ndarray) -> None:
 
 def _csv_column(column) -> list[str]:
     """The CSV cells of one column: numbers as in JSON, text as is and a
-    missing value (None, or NaN in a float array) empty."""
+    missing value (None, or NaN in a float array) empty. A float array is
+    formatted in one call; among ``%.15g`` renderings only NaN contains the
+    text "nan", so blanking it blanks exactly the NaN cells."""
     if isinstance(column, np.ndarray):
-        return ["" if v != v else f"{v:.15g}" for v in column.tolist()]
+        return (("%.15g\n" * len(column)) % tuple(column.tolist())).replace("nan", "").splitlines()
     return ["" if v is None else v if isinstance(v, str) else _json_scalar(v) for v in column]
 
 

@@ -6,7 +6,8 @@ discord is D_G = 2 (tr[S] - k_max) with k_max the largest eigenvalue of
 S, evaluated both through the explicit trigonometric closed form and
 through LAPACK's symmetric eigensolver, two unrelated algorithms, so
 each route can audit the other. The lower bound Q replaces the angular
-factor of the closed form by its theta = 0 limit. For Bell-diagonal
+factor of the closed form by its theta = 0 limit; a report takes D_G,
+theta and Q from one pass over the trace invariants of S. For Bell-diagonal
 two-qubit states the negativity of quantumness reduces to half the
 intermediate |c_i|, and the usual partial-transpose negativity
 (normalized to 1 on Bell states) is provided for two qubits.
@@ -18,7 +19,7 @@ None where a stack holds NaN.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,8 @@ BELL_DIAGONAL_TOL = 1e-8
 UNITS_FULL = "eps^0"
 UNITS_DEVIATION = "eps^2/eps^1"
 _MEASURES = ("d_g", "q", "theta", "q_n", "negativity")  # the CorrelationReport columns
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class CorrelationReport:
             for a, b in pairs)
 
     def as_record(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in (*_MEASURES, "units")}
 
 
 def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
@@ -137,12 +140,8 @@ def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
-    m = np.moveaxis(m, (-2, -1), (0, 1))
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _trace_invariants(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,9 +152,22 @@ def _trace_invariants(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     can never go negative through rounding.
     """
     t1 = np.trace(s, axis1=-2, axis2=-1)
-    dev = s - (t1 / 3.0)[..., None, None] * np.eye(3)
+    dev = s - (t1 / 3.0)[..., None, None] * _EYE3
     m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
     return t1, m2, dev
+
+
+def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_g, theta, q) of S in one pass over its trace invariants; theta is
+    NaN where the spectrum is degenerate."""
+    t1, m2, dev = _trace_invariants(_check_smatrix(s_mat))
+    p = np.sqrt(m2 / 6.0)
+    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
+    unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
+    r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
+    theta = np.arccos(r)
+    d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
+    return d_g, np.where(degenerate, np.nan, theta), (4.0 / 3.0) * t1 - 4.0 * p
 
 
 def geometric_discord_closed(
@@ -174,17 +186,10 @@ def geometric_discord_closed(
     argument is 0/0) take theta = 0 and return None for the angle (NaN
     in a stack).
     """
-    s = _check_smatrix(s_mat)
-    t1, m2, dev = _trace_invariants(s)
-    p = np.sqrt(m2 / 6.0)
-    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
-    unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
-    r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
-    theta = np.arccos(r)
-    d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
-    if s.ndim == 2:
-        return d_g, None if degenerate else float(theta)
-    return d_g, np.where(degenerate, np.nan, theta)
+    d_g, theta, _ = _closed_form(s_mat)
+    if theta.ndim == 0:
+        return d_g, None if theta != theta else float(theta)
+    return d_g, theta
 
 
 def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
@@ -201,8 +206,7 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2); the radical is
     computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    s = _check_smatrix(s_mat)
-    t1, m2, _ = _trace_invariants(s)
+    t1, m2, _ = _trace_invariants(_check_smatrix(s_mat))
     return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
 
 
@@ -251,12 +255,9 @@ def is_bell_diagonal(record: BlochRecord, tol: float = BELL_DIAGONAL_TOL) -> boo
     if record.d != 2:
         bell = np.zeros(lead, dtype=bool)
     else:
-        off = record.C * (1.0 - np.eye(3))  # keeps a non-finite diagonal visible
-        bell = (
-            (np.max(np.abs(record.x), axis=-1) <= tol)
-            & (np.max(np.abs(record.y), axis=-1) <= tol)
-            & (np.max(np.abs(off), axis=(-2, -1)) <= tol)
-        )
+        off = record.C * (1.0 - _EYE3)  # keeps a non-finite diagonal visible
+        parts = (record.x, record.y, off.reshape(lead + (9,)))
+        bell = np.max(np.abs(np.concatenate(parts, axis=-1)), axis=-1) <= tol
     return bool(bell) if not lead else bell
 
 
@@ -281,14 +282,13 @@ def report_from_record(
     record = BlochRecord(*(a.reshape((-1,) + a.shape[lead:]) for a in
                            (record.x, record.y, record.C)))
     s = s_matrix(record, d)
-    d_g, theta = geometric_discord_closed(s)
+    d_g, theta, q = _closed_form(s)
     q_n = np.where(is_bell_diagonal(record),
                    negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1)),
                    np.nan)
     two_qubits = rho is not None and rho.shape[-2:] == (4, 4)
     neg = negativity(rho.reshape(-1, 4, 4)) if two_qubits else np.full(d_g.shape, np.nan)
-    report = CorrelationReport(d_g=d_g, q=q_lower_bound(s), theta=theta, q_n=q_n,
-                               negativity=neg, units=units)
+    report = CorrelationReport(d_g=d_g, q=q, theta=theta, q_n=q_n, negativity=neg, units=units)
     return report if lead else report[0]
 
 

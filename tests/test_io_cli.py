@@ -22,6 +22,7 @@ from qcorr.io import (
     format_float,
     load_state_file,
     parse_config_file,
+    render_table,
     serialize_trajectory,
     write_state_file,
 )
@@ -93,6 +94,27 @@ def test_serialize_trajectory_equals_row_writer(c, mode, n_points, include_local
     traj = make_trajectory(state, n_points=n_points, include_local_bloch=include_local_bloch)
     for fmt in ("csv", "json"):
         assert serialize_trajectory(traj, fmt) == serialize_trajectory_by_rows(traj, fmt)
+
+
+def render_csv_by_cells(table):
+    """CSV of float-array columns written one f-string per cell, NaN as an empty cell."""
+    cells = [["" if v != v else f"{v:.15g}" for v in col.tolist()] for col in table.values()]
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+
+
+SPECIAL_FLOATS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+                  2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16]
+
+
+@settings(max_examples=150)
+@given(columns=st.integers(1, 4),
+       values=st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), max_size=80))
+@example(columns=1, values=SPECIAL_FLOATS)
+@example(columns=2, values=[])
+def test_csv_float_columns_equal_cell_writer(columns, values):
+    n = len(values) // columns
+    table = {f"k{j}": np.array(values[j * n:(j + 1) * n]) for j in range(columns)}
+    assert render_table(table, "csv") == render_csv_by_cells(table)
 
 
 def _csv_matches(text, records):

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import classical_quantum_state, random_bell_state
@@ -23,6 +25,7 @@ from qcorr import (
     s_matrix,
     sym3_eigenvalues,
 )
+from qcorr.measures import BELL_DIAGONAL_TOL, DEGENERATE_SPREAD_TOL
 
 
 def bell_record(c1, c2, c3):
@@ -199,6 +202,72 @@ def test_is_bell_diagonal_gate():
     assert is_bell_diagonal(bell_record(0.3, 0.2, -0.1))
     rec = BlochRecord(x=np.array([1e-6, 0, 0]), y=np.zeros(3), C=np.diag([0.3, 0.2, 0.1]))
     assert not is_bell_diagonal(rec)
+    with np.errstate(invalid="ignore"):  # the off-diagonal mask turns inf * 0 into NaN
+        for bad in (np.inf, -np.inf, np.nan):
+            assert not is_bell_diagonal(bell_record(bad, 0.2, 0.1))
+
+
+def closed_form_by_parts(s):
+    """(D_G, theta, Q) written out as separate formulas over S: the closed form
+    with its angle, and the theta = 0 bound."""
+    t1 = np.trace(s, axis1=-2, axis2=-1)
+    dev = s - (t1 / 3.0)[..., None, None] * np.eye(3)
+    m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
+    p = np.sqrt(m2 / 6.0)
+    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
+    m = np.moveaxis(dev / np.where(degenerate, 1.0, p)[..., None, None], (-2, -1), (0, 1))
+    det = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+           - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+           + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+    theta = np.arccos(np.where(degenerate, 1.0, np.clip(det / 2.0, -1.0, 1.0)))
+    d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
+    q = (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
+    return d_g, np.where(degenerate, np.nan, theta), q
+
+
+def bell_gate_by_parts(record, tol=BELL_DIAGONAL_TOL):
+    off = record.C * (1.0 - np.eye(3))
+    return ((np.max(np.abs(record.x), axis=-1) <= tol)
+            & (np.max(np.abs(record.y), axis=-1) <= tol)
+            & (np.max(np.abs(off), axis=(-2, -1)) <= tol))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12),
+       st.sampled_from(["random", "mixed", "degenerate"]))
+@settings(max_examples=120)
+@example(seed=0, n=1, kind="degenerate")
+def test_report_columns_equal_separate_formulas(seed, n, kind):
+    # d_g, theta and q from the one shared pass must be the separate formulas' bytes;
+    # degenerate rows have x = 0 and C = a O with O orthogonal, so S = a^2 I / 4
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(0.0, 0.3, (2, n, 3))
+    c = rng.normal(0.0, 0.3, (n, 3, 3))
+    flat = rng.random(n) < {"random": 0.0, "mixed": 0.5, "degenerate": 1.0}[kind]
+    x[flat] = 0.0
+    c[flat] = rng.uniform(0.0, 1.0, (flat.sum(), 1, 1)) * np.linalg.qr(
+        rng.normal(size=(flat.sum(), 3, 3)))[0]
+    # Bell-diagonal rows, exact or off by about the gate's tolerance
+    bell = rng.random(n) < 0.4
+    size = rng.choice([0.0, 1e-9, 1e-8, 1e-7], (bell.sum(), 1))
+    x[bell], y[bell] = size * rng.normal(size=(2, bell.sum(), 3))
+    c[bell] = (np.eye(3) * rng.uniform(-1.0, 1.0, (bell.sum(), 1, 3))
+               + size[:, :, None] * rng.normal(size=(bell.sum(), 3, 3)) * (1.0 - np.eye(3)))
+    record = BlochRecord(x=x, y=y, C=c)
+    s = s_matrix(record, 2)
+    d_g, theta, q = closed_form_by_parts(s)
+    report = report_from_record(record, 2)
+    for got, want in ((report.d_g, d_g), (report.theta, theta), (report.q, q),
+                      (q_lower_bound(s), q), *zip(geometric_discord_closed(s), (d_g, theta))):
+        assert got.tobytes() == want.tobytes()
+    gate = bell_gate_by_parts(record)
+    assert np.array_equal(is_bell_diagonal(record), gate)
+    middle = np.sort(np.abs(np.diagonal(c, axis1=1, axis2=2)), axis=1)[:, 1]
+    q_n = np.where(gate, middle / 2.0, np.nan)
+    assert report.q_n.tobytes() == q_n.tobytes()
+    for i in range(n):  # the one-S view of the shared pass
+        closed_i, theta_i = geometric_discord_closed(s[i])
+        assert closed_i == d_g[i] and (theta_i is None) == np.isnan(theta[i])
+        assert theta_i is None or theta_i == theta[i]
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
@@ -272,6 +341,9 @@ def test_report_units_annotation():
     rep = full_report(np.eye(4) / 4.0)
     assert rep.units == "eps^0"
     assert set(rep.as_record()) == {"d_g", "q", "theta", "q_n", "negativity", "units"}
+    for state in (np.eye(4) / 4.0, BellDiagonalState(0.5, -0.3, 0.1).density_matrix()):
+        rep = full_report(state)
+        assert list(rep.as_record().items()) == list(dataclasses.asdict(rep).items())
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.integers(1, 12))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     BellDiagonalState,
@@ -12,6 +14,7 @@ from qcorr import (
     make_trajectory,
     one_sided_slopes,
 )
+from qcorr.channels import TRANSITION_SPIKE_FACTOR, TransitionPoint
 from qcorr.measures import CorrelationReport
 
 RHO1 = BellDiagonalState(0.2, -0.2, 0.2, mode="deviation")
@@ -183,6 +186,82 @@ def test_detect_transition_constant_trajectory():
 def test_detect_transition_needs_five_points():
     with pytest.raises(ValueError):
         detect_transition(synthetic_trajectory([0.5] * 4))
+
+
+def transition_by_loop(traj):
+    """The detection rule as a loop over the grid: the first argmax switch of |c_i|
+    (from index 2 on) whose second difference of d_g, at either end of the step,
+    exceeds TRANSITION_SPIKE_FACTOR times the median |second difference|."""
+    n = len(traj.times)
+    dominant = np.argmax(np.abs(traj.bell_coeffs), axis=1)
+    d_g = traj.reports.d_g
+    second = d_g[2:] - 2.0 * d_g[1:-1] + d_g[:-2]  # second[k] sits at grid k+1
+    median = float(np.median(np.abs(second)))
+    for i in range(2, n):
+        if dominant[i] == dominant[i - 1]:
+            continue
+        spike = abs(second[i - 2])
+        if i <= n - 2:
+            spike = max(spike, abs(second[i - 1]))
+        if spike > TRANSITION_SPIKE_FACTOR * median:
+            return TransitionPoint(t_star=float(traj.times[i]), index=i)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(5, 300),
+    seed=st.integers(0, 2**32 - 1),
+    switches=st.lists(st.integers(1, 299), max_size=5),
+    spike=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+    noise=st.sampled_from([0.0, 1e-4]),
+    structured=st.booleans(),
+)
+@example(n=5, seed=0, switches=[2], spike=1.0, noise=1e-4, structured=True)
+@example(n=5, seed=1, switches=[2], spike=0.0, noise=1e-4, structured=True)
+@example(n=300, seed=2, switches=[299], spike=1.0, noise=1e-4, structured=True)
+@example(n=300, seed=3, switches=[299], spike=0.0, noise=1e-4, structured=True)
+@example(n=40, seed=4, switches=[], spike=1.0, noise=1e-4, structured=True)
+@example(n=7, seed=5, switches=[1, 2, 3, 4, 5, 6], spike=1e-2, noise=1e-4, structured=True)
+@example(n=20, seed=6, switches=[9], spike=0.0, noise=0.0, structured=True)
+def test_detect_transition_equals_loop_rule(n, seed, switches, spike, noise, structured):
+    # structured: the dominant |c_i| changes exactly at ``switches`` and d_g, a smooth
+    # random walk of step ``noise``, gets a kink of size ``spike`` there (with neither,
+    # d_g is constant and the spike ties its limit of 0); otherwise both are noise
+    rng = np.random.default_rng(seed)
+    if structured:
+        dominant = np.zeros(n, dtype=int)
+        for i in sorted({i for i in switches if i < n}):
+            dominant[i:] = (dominant[i - 1] + rng.integers(1, 3)) % 3
+        coeffs = rng.uniform(-0.5, 0.5, (n, 3))
+        coeffs[np.arange(n), dominant] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.6, 1.0, n)
+        d_g = np.cumsum(np.cumsum(rng.normal(0.0, noise, n)))
+        for i in switches:
+            if i < n:
+                d_g[i:] += spike * rng.uniform(0.5, 1.0) * np.arange(n - i)
+    else:
+        coeffs = rng.uniform(-1.0, 1.0, (n, 3))
+        d_g = rng.normal(0.0, 1.0, n)
+    missing = np.full(n, np.nan)
+    traj = Trajectory(
+        times=np.arange(n) * rng.uniform(1e-4, 1e-2),
+        states=np.zeros((n, 4, 4), dtype=complex),
+        bell_coeffs=coeffs,
+        reports=CorrelationReport(d_g=d_g, q=d_g, theta=missing, q_n=missing,
+                                  negativity=missing, units="eps^0"),
+    )
+    assert detect_transition(traj) == transition_by_loop(traj)
+
+
+def test_coarse_short_grid_misses_a_real_switch():
+    # the docstring's example: the median over a short coarse grid hides the kink
+    state = BellDiagonalState(0.8, -0.7, 0.45, mode="deviation")
+    for n_points, want in ((60, None), (100, 20)):
+        traj = make_trajectory(state, dt=0.005, n_points=n_points)
+        switches = np.flatnonzero(np.diff(np.argmax(np.abs(traj.bell_coeffs), axis=1))) + 1
+        assert switches.tolist() == [20]
+        hit = detect_transition(traj)
+        assert (hit and hit.index) == want
 
 
 def test_one_sided_slopes():
