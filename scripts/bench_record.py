@@ -13,7 +13,9 @@ Runs ``bench/run.py`` from this checkout, unchanged:
   of every traced function).
 * ``cli``: wall time of ``qcorr evolve``, ``measure``, ``protocol`` and
   ``batch --n 1000`` as fresh subprocesses, import included, best of
-  CLI_REPEATS (``--quick``: QUICK_CLI_REPEATS). Beside them, ``numpy`` times
+  CLI_REPEATS (``--quick``: QUICK_CLI_REPEATS); ``measure_2x32`` is
+  ``measure`` on a random 2 x 32 state drawn from STATE_2X32_SEED, the
+  large-d case of the Bloch record. Beside them, ``numpy`` times
   ``python -c "import numpy"``, the floor under every command, so that CLI
   times from different hosts can be read as time above bare numpy.
 
@@ -33,11 +35,15 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+from compare_outputs import _random_state  # the output comparison's matrix state files
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 CLI_REPEATS = 5
 QUICK_SECONDS = 1.0
 QUICK_CLI_REPEATS = 3
+STATE_2X32_SEED = 32
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
        **{var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -107,10 +113,13 @@ def main() -> int:
         "measure": [*qcorr, "measure", "--state", "bell.json"],
         "protocol": [*qcorr, "protocol", "--state", "bell.json", "--shots", "4000", "--seed", "5"],
         "batch": [*qcorr, "batch", "--n", "1000", "--seed", "1"],
+        "measure_2x32": [*qcorr, "measure", "--state", "matrix_2x32.json"],
     }
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "bell.json").write_text(json.dumps(
             {"kind": "bell", "c": [0.5, -0.06, 0.24], "mode": "deviation"}))
+        Path(tmp, "matrix_2x32.json").write_text(json.dumps(
+            _random_state(np.random.default_rng(STATE_2X32_SEED), 64, 64)))
         cli = {name: time_cli(argv, repeats, tmp) for name, argv in commands.items()}
 
     runs = [run for w in end_to_end.values() for run in w["runs"]] + list(layers.values())

@@ -40,7 +40,7 @@ STATES = {
 #: a decimal number token; nan, inf and null count as text, so they only match themselves
 NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 #: random 2 x d matrix states, d -> rank
-MATRIX_DIMS = {2: 3, 3: 2, 4: 5}
+MATRIX_DIMS = {2: 3, 3: 2, 4: 5, 8: 3, 16: 7}
 
 EVOLVE_CONFIG = """\
 state.c = 0.7762 -0.6143 0.2848

@@ -10,7 +10,6 @@ from .bloch import (
     BellDiagonalState,
     BlochRecord,
     InvalidStateError,
-    bloch_compose,
     bloch_decompose,
     check_density_matrix,
     gellmann_basis,
@@ -43,7 +42,6 @@ from .measures import (
     negativity_of_quantumness_bell,
     q_lower_bound,
     report_from_record,
-    s_from_states,
     s_matrix,
 )
 from .protocol import (
@@ -71,7 +69,6 @@ __all__ = [
     "Trajectory",
     "TransitionPoint",
     "apply_two_qubit_channel",
-    "bloch_compose",
     "bloch_decompose",
     "check_density_matrix",
     "cnot_gate",
@@ -100,7 +97,6 @@ __all__ = [
     "report_from_record",
     "rotation_gate",
     "run_direct_protocol",
-    "s_from_states",
     "s_matrix",
     "sym3_eigenvalues",
 ]

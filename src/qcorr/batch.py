@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bloch import random_density_matrix
+from .bloch import bloch_decompose, random_density_matrix
 from .io import format_float, render_table
 from .measures import geometric_discord_closed, geometric_discord_eig, negativity, \
-    q_lower_bound, s_from_states
+    q_lower_bound, s_matrix
 
 CLOSED_VS_EIG_TOL = 1e-9
 ORDER_TOL = 1e-10
@@ -59,7 +59,7 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
     for row, (d, max_rank) in enumerate([(d, 2 * d) for d in dims] + [(2, 4), (2, 1)]):
         rhos = random_density_matrix(2 * d, rank=1 + np.arange(n) % max_rank,
                                      seed=np.random.default_rng(next(children)))
-        s[row] = s_from_states(rhos, d)
+        s[row] = s_matrix(bloch_decompose(rhos, d), d)
         if row >= k:
             two_qubit[row - k] = rhos
     closed = geometric_discord_closed(s)[0]

@@ -11,17 +11,17 @@ normalization the expansion
         + sum_lam y_lam I_2 (x) tau_lam / 4
         + sum_{nu,lam} c_{nu,lam} sigma_nu (x) tau_lam / 4
 
-makes decomposition and composition exact mutual inverses (for d = 2 all
-prefactors reduce to the familiar 1/4). ``bloch_decompose`` accepts a
-stack of states (leading axes before the matrix axes) and returns a
-record whose arrays carry the same leading axes; it projects onto all
-4d^2 - 1 product operators, a stack of 16 d^4 complex entries.
+holds exactly (for d = 2 all prefactors reduce to the familiar 1/4).
+``bloch_decompose`` reads (x, y, C) off the qubit blocks of a state, or of
+a stack of states (leading axes before the matrix axes), with per-d index
+arrays of O(d^2) entries.
 ``random_density_matrix`` draws a stack of Ginibre states of mixed rank
 in one padded (dim x dim) matrix product, bit for bit the states and
 random stream of one call per state.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,28 +100,38 @@ def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
     return tuple(gens)
 
 
-# Stacked product operators per d, reused by decompose/compose:
-# 3 of sigma_nu (x) I, d^2-1 of I (x) tau_lam, then 3(d^2-1) of
-# sigma_nu (x) tau_lam in row-major (nu, lam) order.
-_OP_STACKS: dict[int, np.ndarray] = {}
+#: 2 x the weights, in M_nu (nu = x, y, z, I), of the six entries _coordinate_map reads
+_SLOT_WEIGHTS = 2.0 * np.array([[0, 1, 1, 0, 0, 0], [0, 0, 0, 0, -1, 1],
+                                [1, 0, 0, -1, 0, 0], [1, 0, 0, 1, 0, 0]])
 
 
-def _operator_stack(d: int) -> np.ndarray:
-    stack = _OP_STACKS.get(d)
-    if stack is None:
-        taus = gellmann_basis(d)
-        eye_d = np.eye(d, dtype=complex)
-        eye_2 = np.eye(2, dtype=complex)
-        ops = [np.kron(s, eye_d) for s in PAULIS]
-        ops += [np.kron(eye_2, t) for t in taus]
-        ops += [np.kron(s, t) for s in PAULIS for t in taus]
-        stack = np.array(ops)
-        stack.setflags(write=False)
-        _OP_STACKS[d] = stack
-    return stack
+@functools.cache
+def _coordinate_map(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, weights): the float-view positions in rho of the six entries each
+    coordinate reads at its (j, k) or (l, l) in the qubit blocks a, b, c, e (Re a, Re b,
+    Re c, Re e, Im b, Im c; on an antisymmetric generator Im a, Im b, Im c, Im e, Re c,
+    Re b), and the d x d weights of the diagonal generators and, last, of the trace."""
+    j, k = np.triu_indices(d, 1)
+    l = np.arange(d)
+    imag = np.repeat([0, 1, 0], [j.size, j.size, d])  # 1 on antisymmetric generators
+    at = 2 * (np.concatenate([j, j, l]) * 2 * d + np.concatenate([k, k, l])) + imag
+    a, b, c, e = (at + 2 * d * (2 * d * p + q) for p in (0, 1) for q in (0, 1))
+    index = np.array([a, b, c, e, np.where(imag, c - 1, b + 1), np.where(imag, b - 1, c + 1)])
+    norm = np.sqrt(2.0 / (l[1:] * (l[1:] + 1)))
+    diagonal = (np.triu(np.ones((d, d)), 1) - np.diag(l))[:, 1:] * norm
+    return index, np.hstack([diagonal, np.ones((d, 1))]) / 2.0  # halved against _SLOT_WEIGHTS
 
 
-def _infer_d(rho: np.ndarray, d: int | None) -> int:
+def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
+    """Extract the Bloch data (x, y, C) of a 2 x d state or a stack of them.
+
+    With M_nu = tr_A[(sigma_nu (x) I_d) rho], x_nu = tr M_nu, and C_{nu,lam}
+    (y_lam for M_I = tr_A rho) is 2 Re M_jk on the symmetric generator (j, k),
+    -2 Im M_jk on the antisymmetric one and sqrt(2 / (l (l + 1))) (sum_{j<l}
+    M_jj - l M_ll) on the diagonal one l (Bertlmann and Krammer, J. Phys. A
+    41, 235303, 2008).
+    """
+    rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     dim = rho.shape[-1]
@@ -133,38 +143,12 @@ def _infer_d(rho: np.ndarray, d: int | None) -> int:
         raise ValueError(f"state of dimension {dim} does not match 2*d with d={d}")
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
-    return d
-
-
-def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
-    """Extract the Bloch data (x, y, C) of a 2 x d state or a stack of them."""
-    rho = np.asarray(rho, dtype=complex)
-    d = _infer_d(rho, d)
-    vals = np.einsum("aij,...ji->...a", _operator_stack(d), rho).real
-    nb = d * d - 1
-    return BlochRecord(
-        x=vals[..., :3].copy(),
-        y=vals[..., 3 : 3 + nb].copy(),
-        C=vals[..., 3 + nb :].reshape(vals.shape[:-1] + (3, nb)).copy(),
-    )
-
-
-def bloch_compose(record: BlochRecord, d: int | None = None) -> np.ndarray:
-    """Rebuild the density matrix from Bloch data; inverse of bloch_decompose."""
-    if d is None:
-        d = record.d
-    nb = d * d - 1
-    if record.x.shape != (3,) or record.y.shape != (nb,) or record.C.shape != (3, nb):
-        raise ValueError(
-            f"record shapes {record.x.shape}/{record.y.shape}/{record.C.shape} "
-            f"do not match d={d}"
-        )
-    coeffs = np.concatenate(
-        [record.x / (2.0 * d), record.y / 4.0, record.C.reshape(-1) / 4.0]
-    )
-    rho = np.tensordot(coeffs, _operator_stack(d), axes=1)
-    rho += np.eye(2 * d, dtype=complex) / (2.0 * d)
-    return rho
+    index, weights = _coordinate_map(d)
+    coords = _SLOT_WEIGHTS @ rho.reshape(rho.shape[:-2] + (4 * d * d,)).view(float)[..., index]
+    pairs = d * (d - 1) // 2
+    coords[..., pairs:2 * pairs] *= -1.0
+    coords[..., 2 * pairs:] = coords[..., 2 * pairs:] @ weights
+    return BlochRecord(x=coords[..., :3, -1], y=coords[..., 3, :-1], C=coords[..., :3, :-1])
 
 
 def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:

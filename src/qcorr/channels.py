@@ -290,7 +290,12 @@ def detect_transition(traj: Trajectory) -> TransitionPoint | None:
     # the kink at switch i lies in (t_{i-1}, t_i): check the second difference at both
     # ends, only the left one at the last grid point
     spike = np.maximum(second[switches - 2], second[np.minimum(switches - 1, n - 3)])
-    hits = switches[spike > TRANSITION_SPIKE_FACTOR * float(np.median(second))]
+    if np.isnan(second).any():  # the median is NaN, which no spike exceeds
+        return None
+    k = second.size // 2  # np.median's value without its first-call import of numpy.ma
+    low, high = np.partition(second, (k - 1, k))[k - 1:k + 1]
+    median = high if second.size % 2 else (low + high) / 2.0
+    hits = switches[spike > TRANSITION_SPIKE_FACTOR * median]
     if not hits.size:
         return None
     return TransitionPoint(t_star=float(traj.times[hits[0]]), index=int(hits[0]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BellDiagonalState, BlochRecord, _infer_d, bloch_decompose
+from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
 from .eigen import SYMMETRY_TOL, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
@@ -107,27 +107,6 @@ def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     if x.shape[-1:] != (3,) or c.shape != x.shape[:-1] + (3, d * d - 1):
         raise ValueError(f"record shapes {x.shape}/{c.shape} do not match d={d}")
     return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
-
-
-def s_from_states(rho: np.ndarray, d: int | None = None) -> np.ndarray:
-    """S of 2 x d states straight from their qubit blocks, without the Bloch record.
-
-    With M_nu = tr_A[(sigma_nu (x) I) rho], a sum of the four d x d blocks
-    of rho, x_nu = tr[M_nu], and Gell-Mann completeness turns C C^T into
-    2 tr[M_nu M_mu] - (2/d) x_nu x_mu, so
-    S = (2 Re(F F^H) + (1 - 2/d) x x^T) / (2d) with F the flattened M_nu.
-    Equals ``s_matrix(bloch_decompose(rho, d), d)`` up to round-off without
-    its 16 d^4-entry operator stack; accepts leading stack axes.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = _infer_d(rho, d)
-    a, b = rho[..., :d, :d], rho[..., :d, d:]
-    c, e = rho[..., d:, :d], rho[..., d:, d:]
-    m = np.stack([b + c, 1j * (b - c), a - e], axis=-3)
-    x = np.trace(m, axis1=-2, axis2=-1).real
-    f = m.reshape(m.shape[:-2] + (d * d,)).view(float)  # Re(F F^H) as one real product
-    return (2.0 * (f @ np.swapaxes(f, -1, -2))
-            + (1.0 - 2.0 / d) * x[..., :, None] * x[..., None, :]) / (2.0 * d)
 
 
 def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcorr.batch
-from qcorr import (geometric_discord_closed, geometric_discord_eig, negativity, q_lower_bound,
-                   random_density_matrix, s_from_states)
+from qcorr import (bloch_decompose, geometric_discord_closed, geometric_discord_eig, negativity,
+                   q_lower_bound, random_density_matrix, s_matrix)
 from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL, \
     CampaignResult, _campaign, run_batch_campaigns
 
@@ -17,7 +17,7 @@ def one_at_a_time_campaigns(n, seed, dims):
     def draw(d, max_rank):
         rng = np.random.default_rng(next(children))
         rhos = [random_density_matrix(2 * d, rank=1 + i % max_rank, seed=rng) for i in range(n)]
-        return [(rho, s_from_states(rho, d)) for rho in rhos]
+        return [(rho, s_matrix(bloch_decompose(rho, d), d)) for rho in rhos]
 
     def campaign(name, values, tol):
         return CampaignResult(name, n, sum(v > tol for v in values), float(max(values)), tol)
@@ -59,7 +59,7 @@ def test_block_campaigns_equal_one_at_a_time_draws(n, seed, dims):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=5, deadline=None)
 def test_campaigns_at_large_d(seed):
-    # S from the qubit blocks needs no 16 d^4-entry operator stack, so d = 32 is cheap
+    # the Bloch record is read off the qubit blocks with O(d^2) indices, so d = 32 is cheap
     results = run_batch_campaigns(10, seed, dims=(8, 16, 32))
     assert [r.name for r in results[:6]] == [f"{check}[d={d}]" for d in (8, 16, 32)
                                              for check in ("closed_vs_eig", "order_q_le_dg")]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,34 @@ from qcorr import (
     BellDiagonalState,
     BlochRecord,
     InvalidStateError,
-    bloch_compose,
     bloch_decompose,
     check_density_matrix,
     gellmann_basis,
     random_density_matrix,
 )
 from qcorr.bloch import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+
+def product_operators(d):
+    """sigma_nu (x) I, I (x) tau_lam, then sigma_nu (x) tau_lam in row-major (nu, lam)
+    order: the operators whose expectations are x, y and C."""
+    taus = gellmann_basis(d)
+    ops = [np.kron(s, np.eye(d)) for s in PAULIS] + [np.kron(np.eye(2), t) for t in taus]
+    return np.array(ops + [np.kron(s, t) for s in PAULIS for t in taus])
+
+
+def contract(rho, d):
+    """(x, y, C) as tr[rho O] over the explicit product operators O."""
+    vals = np.einsum("aij,...ji->...a", product_operators(d), rho).real
+    nb = d * d - 1
+    c = vals[..., 3 + nb:].reshape(vals.shape[:-1] + (3, nb))
+    return vals[..., :3], vals[..., 3:3 + nb], c
+
+
+def compose(record, d):
+    """The density matrix of a single Bloch record, by its Gell-Mann expansion."""
+    coeffs = np.concatenate([record.x / (2.0 * d), record.y / 4.0, record.C.reshape(-1) / 4.0])
+    return np.tensordot(coeffs, product_operators(d), axes=1) + np.eye(2 * d) / (2.0 * d)
 
 
 def test_pauli_algebra():
@@ -76,6 +99,57 @@ def test_decompose_dimension_mismatch():
         bloch_decompose(np.eye(5) / 5.0)
 
 
+@pytest.mark.parametrize("shape, d, message", [
+    ((3, 4), None, r"expected a square matrix, got shape \(3, 4\)"),
+    ((5, 5), None, r"total dimension 5 is not 2\*d"),
+    ((2, 2), None, "subsystem dimension must be at least 2, got 1"),
+    ((4,), None, r"expected a square matrix, got shape \(4,\)"),
+    ((6, 6), 2, r"state of dimension 6 does not match 2\*d with d=2"),
+    ((2, 6, 6), 4, r"state of dimension 6 does not match 2\*d with d=4"),
+], ids=["not-square", "odd-dimension", "d-below-2", "vector", "d-mismatch", "stack-d-mismatch"])
+def test_decompose_rejects_bad_shapes(shape, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bloch_decompose(np.zeros(shape), d)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([(), (1,), (5,), (2, 3)]))
+@settings(max_examples=80)
+def test_decompose_equals_gellmann_contraction(seed, d, lead):
+    # the coordinates read off the qubit blocks are the traces against the explicit
+    # product operators, on one state and on stacks
+    n = int(np.prod(lead))
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, 2 * d + 1, n)
+    rhos = random_density_matrix(2 * d, rank=ranks, seed=rng).reshape(lead + (2 * d, 2 * d))
+    for rec in (bloch_decompose(rhos, d), bloch_decompose(rhos)):
+        assert (rec.x.shape, rec.y.shape, rec.C.shape) == (
+            lead + (3,), lead + (d * d - 1,), lead + (3, d * d - 1))
+        for got, want in zip((rec.x, rec.y, rec.C), contract(rhos, d)):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_decompose_stack_equals_single_calls(d):
+    rhos = random_density_matrix(2 * d, rank=1 + np.arange(6) % (2 * d), seed=d)
+    stacked = bloch_decompose(rhos.reshape(2, 3, 2 * d, 2 * d))
+    for i, rho in enumerate(rhos):
+        single = bloch_decompose(rho)
+        for name in ("x", "y", "C"):
+            assert np.array_equal(getattr(stacked, name)[divmod(i, 3)], getattr(single, name))
+
+
+def test_decompose_memory_is_quadratic_in_d():
+    # per-d index arrays, not a stack of 16 d^4 complex entries (5.3 MB at d = 12)
+    rho = random_density_matrix(24, seed=12)
+    tracemalloc.start()
+    try:
+        bloch_decompose(rho, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_stacked_record_dimension():
     rec = BlochRecord(x=np.zeros((51, 3)), y=np.zeros((51, 3)), C=np.zeros((51, 3, 3)))
     assert rec.d == 2
@@ -86,14 +160,14 @@ def test_stacked_record_dimension():
 
 def test_compose_zero_record_is_maximally_mixed():
     rec = BlochRecord(x=np.zeros(3), y=np.zeros(3), C=np.zeros((3, 3)))
-    assert np.allclose(bloch_compose(rec), np.eye(4) / 4.0, atol=0)
+    assert np.allclose(compose(rec, 2), np.eye(4) / 4.0, atol=0)
 
 
 def test_compose_bell_record():
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2)
     rho = np.outer(phi, phi.conj())
-    assert np.max(np.abs(bloch_compose(bloch_decompose(rho)) - rho)) <= 1e-15
+    assert np.max(np.abs(compose(bloch_decompose(rho), 2) - rho)) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -103,7 +177,7 @@ def test_roundtrip_on_random_states(d):
         rho = random_density_matrix(2 * d, seed=rng)
         rec = bloch_decompose(rho, d)
         assert np.linalg.norm(rec.x) <= 1.0 + 1e-10
-        assert np.max(np.abs(bloch_compose(rec, d) - rho)) <= 1e-12
+        assert np.max(np.abs(compose(rec, d) - rho)) <= 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
@@ -115,16 +189,10 @@ def test_roundtrip_record_to_record(seed, d):
     rec = BlochRecord(
         x=rng.uniform(-1, 1, 3), y=rng.uniform(-1, 1, nb), C=rng.uniform(-1, 1, (3, nb))
     )
-    back = bloch_decompose(bloch_compose(rec, d), d)
+    back = bloch_decompose(compose(rec, d), d)
     assert np.max(np.abs(back.x - rec.x)) <= 1e-12
     assert np.max(np.abs(back.y - rec.y)) <= 1e-12
     assert np.max(np.abs(back.C - rec.C)) <= 1e-12
-
-
-def test_compose_shape_check():
-    rec = BlochRecord(x=np.zeros(3), y=np.zeros(3), C=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        bloch_compose(rec, d=3)
 
 
 def test_random_density_matrix_rank_one_is_pure():

@@ -21,7 +21,6 @@ from qcorr import (
     random_density_matrix,
     random_unitary,
     report_from_record,
-    s_from_states,
     s_matrix,
     sym3_eigenvalues,
 )
@@ -51,30 +50,6 @@ def test_s_matrix_zero_record():
 def test_s_matrix_shape_check():
     with pytest.raises(ValueError):
         s_matrix(bell_record(0, 0, 0), d=3)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([(), (1,), (5,), (2, 3)]))
-@settings(max_examples=80)
-def test_s_from_states_equals_bloch_route(seed, d, lead):
-    # the block formula is the Bloch-record route rearranged by Gell-Mann completeness
-    n = int(np.prod(lead))
-    rng = np.random.default_rng(seed)
-    ranks = rng.integers(1, 2 * d + 1, n)
-    rhos = random_density_matrix(2 * d, rank=ranks, seed=rng).reshape(lead + (2 * d, 2 * d))
-    want = s_matrix(bloch_decompose(rhos, d), d)
-    for got in (s_from_states(rhos, d), s_from_states(rhos)):
-        assert got.shape == lead + (3, 3)
-        assert np.max(np.abs(got - want)) <= 1e-15
-
-
-@pytest.mark.parametrize("shape, d", [((3, 4), None), ((5, 5), None), ((2, 2), None),
-                                      ((4,), None), ((6, 6), 2), ((2, 6, 6), 4)])
-def test_s_from_states_rejects_bad_shapes(shape, d):
-    with pytest.raises(ValueError) as want:
-        bloch_decompose(np.zeros(shape), d)
-    with pytest.raises(ValueError) as got:
-        s_from_states(np.zeros(shape), d)
-    assert str(got.value) == str(want.value)
 
 
 def test_discord_closed_bell_state_degenerate():
@@ -412,4 +387,5 @@ def test_measures_return_empty_on_an_empty_stack():
         assert value.shape == (0,), name
     assert sym3_eigenvalues(s).shape == (0, 3)
     assert hermitian_eigenvalues(rhos).shape == (0, 4)
-    assert s_from_states(np.zeros((0, 6, 6)), 3).shape == (0, 3, 3)
+    rec = bloch_decompose(np.zeros((0, 6, 6)), 3)
+    assert (rec.x.shape, rec.y.shape, rec.C.shape) == ((0, 3), (0, 8), (0, 3, 8))

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -270,3 +273,31 @@ def test_one_sided_slopes():
     assert (left, right) == (1.0, 2.0)
     with pytest.raises(ValueError):
         one_sided_slopes(values, [0.0, 1.0, 2.0], 2)
+
+
+def test_nan_second_difference_confirms_nothing():
+    # a real switch with a large kink, but one NaN in d_g: the median is NaN and no
+    # spike exceeds it, as in the loop rule with np.median
+    values = np.zeros(40)
+    values[20:] = np.arange(20) * 1.0
+    traj = synthetic_trajectory(values)
+    traj.bell_coeffs[20:] = [0.1, 0.2, 0.3]
+    assert detect_transition(traj) == transition_by_loop(traj) == TransitionPoint(20.0, 20)
+    traj.reports.d_g[5] = np.nan
+    assert transition_by_loop(traj) is None
+    assert detect_transition(traj) is None
+
+
+def test_detect_transition_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call in a process (about 20 ms)
+    code = ("import sys\n"
+            "from qcorr import BellDiagonalState, detect_transition, make_trajectory\n"
+            "state = BellDiagonalState(0.7762, -0.6143, 0.2848, mode='deviation')\n"
+            "traj = make_trajectory(state)\n"
+            "assert detect_transition(traj) is not None\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
