@@ -36,11 +36,16 @@ STATES = {
     "bell_full": {"kind": "bell", "c": [0.6, -0.4, 0.3], "mode": "full"},
     # at --dt 0.005 --points 60 its switch at index 20 goes unconfirmed
     "bell_coarse": {"kind": "bell", "c": [0.8, -0.7, 0.45], "mode": "deviation"},
+    # purity 0.285 < 1/3 at t = 0 and relaxing towards I/4: negativity never diagonalizes
+    "bell_ball": {"kind": "bell", "c": [0.3, -0.2, 0.1], "mode": "full"},
 }
 #: a decimal number token; nan, inf and null count as text, so they only match themselves
 NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 #: random 2 x d matrix states, d -> rank
 MATRIX_DIMS = {2: 3, 3: 2, 4: 5, 8: 3, 16: 7}
+#: Werner states p |psi-><psi-| + (1 - p) I/4, name -> p: purity (1 + 3 p^2)/4 puts
+#: p < 1/3 inside the separable ball and p > 1/3 is entangled
+WERNER = {"werner_030": 0.30, "werner_034": 0.34}
 
 EVOLVE_CONFIG = """\
 state.c = 0.7762 -0.6143 0.2848
@@ -58,12 +63,20 @@ def _random_state(rng: np.random.Generator, dim: int, rank: int) -> dict:
     return {"kind": "matrix", "dim": dim, "re": rho.real.tolist(), "im": rho.imag.tolist()}
 
 
+def _werner_state(p: float) -> dict:
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    rho = p * np.outer(singlet, singlet) + (1.0 - p) * np.eye(4) / 4.0
+    return {"kind": "matrix", "dim": 4, "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}
+
+
 def write_inputs(inputs: Path) -> None:
     inputs.mkdir()
     rng = np.random.default_rng(2024)
     docs = dict(STATES)
     for d, rank in MATRIX_DIMS.items():
         docs[f"matrix_2x{d}"] = _random_state(rng, 2 * d, rank)
+    for name, p in WERNER.items():
+        docs[name] = _werner_state(p)
     for name, doc in docs.items():
         (inputs / f"{name}.json").write_text(json.dumps(doc))
     (inputs / "evolve.cfg").write_text(EVOLVE_CONFIG)
@@ -72,7 +85,7 @@ def write_inputs(inputs: Path) -> None:
 def commands(inputs: Path) -> dict[str, list[str]]:
     """label -> qcorr argv; outputs are written to the working directory."""
     cmds = {}
-    for name in ["bell_deviation", "bell_full"] + [f"matrix_2x{d}" for d in MATRIX_DIMS]:
+    for name in ["bell_deviation", "bell_full", *(f"matrix_2x{d}" for d in MATRIX_DIMS), *WERNER]:
         state = str(inputs / f"{name}.json")
         for fmt in ("csv", "json"):
             cmds[f"measure_{name}_{fmt}"] = ["measure", "--state", state,
@@ -95,6 +108,8 @@ def commands(inputs: Path) -> dict[str, list[str]]:
         cmds[f"evolve_coarse_{fmt}"] = ["evolve", "--state", str(inputs / "bell_coarse.json"),
                                         "--dt", "0.005", "--points", "60",
                                         "--output", f"evolve_coarse.{fmt}", "--format", fmt]
+        cmds[f"evolve_ball_{fmt}"] = ["evolve", "--state", str(inputs / "bell_ball.json"),
+                                      "--output", f"evolve_ball.{fmt}", "--format", fmt]
     batch = ["batch", "--n", "200", "--seed", "11", "--dims", "2,3,4"]
     cmds["batch_text"] = batch
     for fmt in ("csv", "json"):

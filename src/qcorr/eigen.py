@@ -3,7 +3,10 @@
 Both functions validate their input and hand it to LAPACK through
 ``np.linalg.eigvalsh``, returning the spectrum in descending order along
 the last axis. Leading stack axes are allowed and every matrix of a
-stack is checked; a single matrix is the one-item case.
+stack is checked; a single matrix is the one-item case. A matrix with a
+non-finite entry gets an all-NaN spectrum while the rest of its stack is
+solved as usual (LAPACK reads one triangle only, so it would miss a NaN
+in the other, and a matrix of NaN would fail the whole stack).
 Because the solver shares no formula with the trigonometric closed form
 of the geometric discord, ``sym3_eigenvalues`` gives the discord an
 independent second route. Results are deterministic for a fixed numpy
@@ -18,14 +21,37 @@ SYMMETRY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 
 
+def hermitian_asymmetry(a: np.ndarray) -> float:
+    """max |a - a^H| over a stack of complex matrices; ValueError above
+    HERMITICITY_TOL. Otherwise NaN exactly when an entry is not finite (a
+    non-finite entry gives NaN on the diagonal, or inf or NaN off it)."""
+    asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    return asymmetry
+
+
+def _descending_spectra(a: np.ndarray, asymmetry: float) -> np.ndarray:
+    """eigvalsh of a checked stack, descending; NaN spectra for the matrices
+    with a non-finite entry, which only a NaN asymmetry can signal."""
+    if asymmetry == asymmetry:
+        return np.linalg.eigvalsh(a)[..., ::-1]
+    stack = a.reshape((-1,) + a.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    eigs = np.full(stack.shape[:-1], np.nan)
+    eigs[finite] = np.linalg.eigvalsh(stack[finite])[..., ::-1]
+    return eigs.reshape(a.shape[:-1])
+
+
 def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of real symmetric 3x3 matrices, sorted descending."""
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
+    asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
+    if asymmetry > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
-    return np.linalg.eigvalsh(m)[..., ::-1]
+    return _descending_spectra(m, asymmetry)
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -33,6 +59,4 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    return np.linalg.eigvalsh(a)[..., ::-1]
+    return _descending_spectra(a, hermitian_asymmetry(a))

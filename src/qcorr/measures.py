@@ -10,7 +10,14 @@ factor of the closed form by its theta = 0 limit; a report takes D_G,
 theta and Q from one pass over the trace invariants of S. For Bell-diagonal
 two-qubit states the negativity of quantumness reduces to half the
 intermediate |c_i|, and the usual partial-transpose negativity
-(normalized to 1 on Bell states) is provided for two qubits.
+(normalized to 1 on Bell states) is provided for two qubits. Before it
+diagonalizes, the negativity tests purity: tr[rho^2] < 1/3 makes a
+two-qubit state separable (Zyczkowski, Horodecki, Sanpera and
+Lewenstein, PRA 58, 883, 1998), and Samuelson's inequality turns a
+margin below 1/3 into a positive floor under the spectrum of the
+partial transpose. The eps-close-to-I/4 NMR states (separable, Braunstein
+et al., PRL 83, 1054, 1999) pass it, so their negativity is exactly 0
+without an eigensolver call.
 
 Every measure accepts leading stack axes (a stack of records, S
 matrices or states) and then returns one value per item as an array;
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
-from .eigen import SYMMETRY_TOL, hermitian_eigenvalues, sym3_eigenvalues
+from .eigen import SYMMETRY_TOL, hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
 #: is treated as fully degenerate and the angular factor is pinned to
@@ -35,6 +42,15 @@ DEGENERATE_SPREAD_TOL = 1e-14
 #: state to count as Bell diagonal; channel evolution preserves the form
 #: only up to round-off, hence a loose-ish gate.
 BELL_DIAGONAL_TOL = 1e-8
+
+#: relative margin of the purity test in ``negativity``: far above LAPACK's
+#: backward error, far below the purity gap of any state worth diagonalizing
+PPT_BALL_MARGIN = 1e-10
+#: picks Re rho_ii out of a flattened 4x4 complex matrix viewed as 32 floats, scaled
+#: to ||rho||_F / tr[rho] at the edge of the ball
+_BALL_TRACE_WEIGHTS = np.zeros(32)
+_BALL_TRACE_WEIGHTS[::10] = np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN)
+_BALL_TRACE_WEIGHTS.setflags(write=False)
 
 UNITS_FULL = "eps^0"
 UNITS_DEVIATION = "eps^2/eps^1"
@@ -172,7 +188,8 @@ def geometric_discord_closed(
 
 
 def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
-    """Geometric discord via the spectrum: 2 (tr[S] - k_max)."""
+    """Geometric discord via the spectrum: 2 (tr[S] - k_max); NaN for an S
+    with a non-finite entry, as from the closed form."""
     k_max = sym3_eigenvalues(s_mat)[..., 0]  # checks the shape and symmetry of S
     s = np.asarray(s_mat, dtype=float)
     d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
@@ -213,18 +230,55 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -3, -1).reshape(lead + (4, 4))
 
 
+def _inside_separable_ball(rho: np.ndarray) -> bool:
+    """True when every state of a two-qubit stack is certified PPT by its purity.
+
+    With t = tr[A] and F = ||A||_F, Samuelson's inequality puts every
+    eigenvalue of a Hermitian 4x4 A within sqrt(3/4 (F^2 - t^2/4)) of t/4.
+    Both numbers are the same for rho and its partial transpose, so
+    F < t sqrt(1/3 - PPT_BALL_MARGIN) gives lambda_min(rho^T_B) >=
+    1.5 PPT_BALL_MARGIN t > 0. LAPACK solves the Hermitian matrix of one
+    triangle, which differs from the Hermitian part of rho^T_B by at most
+    sqrt(3) times the asymmetry of rho, so that must stay below half the
+    margin too. A zero or negative trace, an overflow and NaN all fail
+    the test. On a certified stack the Hermiticity check of
+    ``hermitian_eigenvalues`` is run here, with its ValueError.
+    """
+    entries = rho.reshape(-1, 16).view(float)
+    radius = entries @ _BALL_TRACE_WEIGHTS  # tr[rho] sqrt(1/3 - margin), item by item
+    # einsum's summed squares overflow to inf without a warning, and an inf or NaN
+    # norm fails the test
+    norm = np.sqrt(np.einsum("ij,ij->i", entries, entries))
+    if not (norm < radius).all():
+        return False
+    asymmetry = hermitian_asymmetry(rho)  # max |rho - rho^H| is that of rho^T_B
+    return bool(asymmetry <= 0.5 * PPT_BALL_MARGIN * np.min(radius, initial=np.inf))
+
+
 def negativity(rho: np.ndarray) -> float | np.ndarray:
     """Entanglement negativity of a two-qubit state, normalized so N(Bell) = 1.
 
     N = 2 sum |negative eigenvalues of the partial transpose|; zero for
-    PPT states. With this normalization D_G = N^2 on pure states and
-    D_G >= N^2 in general.
+    PPT states, NaN for a state with a non-finite entry. With this
+    normalization D_G = N^2 on pure states and D_G >= N^2 in general.
+
+    Two-qubit states with tr[rho^2] < 1/3 are separable (Zyczkowski,
+    Horodecki, Sanpera and Lewenstein, PRA 58, 883, 1998), which covers
+    the eps-close-to-I/4 NMR states (Braunstein et al., PRL 83, 1054,
+    1999). A stack whose every item lies inside that ball with the margin
+    of ``_inside_separable_ball`` returns zeros without diagonalizing:
+    its partial transposes have no eigenvalue that LAPACK could return
+    negative, so the zeros are the bytes the eigenvalue route gives. Any
+    other stack is diagonalized whole.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"negativity implemented for two qubits only, got shape {rho.shape}")
+    if _inside_separable_ball(rho):
+        return 0.0 if rho.ndim == 2 else np.zeros(rho.shape[:-2])
     eigs = hermitian_eigenvalues(partial_transpose(rho))
-    neg = 2.0 * np.sum(np.where(eigs < 0.0, np.abs(eigs), 0.0), axis=-1)
+    # NaN is not >= 0, so a NaN spectrum gives a NaN negativity
+    neg = 2.0 * np.sum(np.where(eigs >= 0.0, 0.0, np.abs(eigs)), axis=-1)
     return float(neg) if rho.ndim == 2 else neg
 
 

@@ -92,3 +92,28 @@ def test_jacobi_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eigenvalues(m)
+
+
+def test_non_finite_items_get_nan_spectra():
+    # LAPACK reads the lower triangle only, so a NaN above the diagonal is
+    # invisible to it; a matrix of NaN would make the whole stack fail
+    s = 0.1 * np.eye(3)
+    s[0, 1] = np.nan
+    assert np.isnan(sym3_eigenvalues(s)).all()
+    h = np.eye(4, dtype=complex) / 4.0
+    h[0, 1] = np.nan
+    assert np.isnan(hermitian_eigenvalues(h)).all()
+    stack = np.stack([np.diag([4.0, 1.0, 2.0, 3.0]), h, np.full((4, 4), np.nan)])
+    got = hermitian_eigenvalues(stack.reshape(3, 1, 4, 4))
+    assert got.shape == (3, 1, 4)
+    assert got[0, 0].tolist() == [4.0, 3.0, 2.0, 1.0]
+    assert np.isnan(got[1:]).all()
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal of a - a^H
+        assert np.isnan(sym3_eigenvalues(np.diag([1.0, np.inf, 0.0]))).all()
+
+
+def test_off_diagonal_inf_fails_the_symmetry_check():
+    m = np.eye(3)
+    m[0, 1] = np.inf
+    with pytest.raises(ValueError, match="symmetric"):
+        sym3_eigenvalues(m)

@@ -24,7 +24,12 @@ from qcorr import (
     s_matrix,
     sym3_eigenvalues,
 )
-from qcorr.measures import BELL_DIAGONAL_TOL, DEGENERATE_SPREAD_TOL
+from qcorr.measures import (
+    BELL_DIAGONAL_TOL,
+    DEGENERATE_SPREAD_TOL,
+    PPT_BALL_MARGIN,
+    partial_transpose,
+)
 
 
 def bell_record(c1, c2, c3):
@@ -389,3 +394,153 @@ def test_measures_return_empty_on_an_empty_stack():
     assert hermitian_eigenvalues(rhos).shape == (0, 4)
     rec = bloch_decompose(np.zeros((0, 6, 6)), 3)
     assert (rec.x.shape, rec.y.shape, rec.C.shape) == ((0, 3), (0, 8), (0, 3, 8))
+
+
+# ---------------------------------------------------------------------------
+# the separable-ball test in front of the eigenvalue route of `negativity`
+
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+
+def negativity_by_eigenvalues(rho):
+    """The eigenvalue route alone, with no purity test: the oracle."""
+    rho = np.asarray(rho, dtype=complex)
+    eigs = np.linalg.eigvalsh(partial_transpose(rho))[..., ::-1]
+    neg = 2.0 * np.sum(np.where(eigs < 0.0, np.abs(eigs), 0.0), axis=-1)
+    return float(neg) if rho.ndim == 2 else neg
+
+
+def assert_same_bytes_as_oracle(rho):
+    got, want = negativity(rho), negativity_by_eigenvalues(rho)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def local_rotation(rho, seed):
+    """U_A (x) U_B rho (U_A (x) U_B)^dag: same purity, same negativity."""
+    rng = np.random.default_rng(seed)
+    u = np.kron(random_unitary(2, seed=rng), random_unitary(2, seed=rng))
+    return u @ rho @ u.conj().T
+
+
+def werner(p):
+    return p * np.outer(SINGLET, SINGLET) + (1.0 - p) * np.eye(4) / 4.0
+
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@given(coefficient, coefficient, coefficient, st.floats(-5.0, 0.0), st.integers(0, 2**32 - 1))
+@example(0.5, -0.06, 0.24, -5.0, 0)
+@example(1.0, 1.0, 1.0, 0.0, 1)  # eps = 1: outside the ball, and not even PSD
+@settings(max_examples=80)
+def test_ball_test_keeps_the_bytes_of_deviation_states(c1, c2, c3, log_eps, seed):
+    state = BellDiagonalState(c1, c2, c3, mode="deviation")
+    assert_same_bytes_as_oracle(local_rotation(state.density_matrix(epsilon=10.0**log_eps), seed))
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_ball_test_keeps_the_bytes_of_random_states(rank, seed):
+    assert_same_bytes_as_oracle(random_density_matrix(4, rank, seed=seed))
+
+
+@given(st.floats(1.0 / 3.0 - 1e-9, 1.0 / 3.0 + 1e-9), st.integers(0, 2**32 - 1))
+@example(1.0 / 3.0 - 1e-9, 0)
+@example(1.0 / 3.0 + 1e-9, 0)
+@example(1.0 / 3.0, 0)
+@settings(max_examples=60)
+def test_ball_test_keeps_the_bytes_at_the_edge_of_the_ball(p, seed):
+    # a Werner state's purity (1 + 3 p^2)/4 crosses 1/3 where it turns entangled
+    rho = local_rotation(werner(p), seed)
+    assert_same_bytes_as_oracle(rho)
+    if p <= 1.0 / 3.0 - 1e-9:
+        assert negativity(rho) == 0.0
+    if p >= 1.0 / 3.0 + 1e-9:
+        assert negativity(rho) > 0.0
+
+
+@given(st.lists(st.tuples(st.sampled_from(["deviation", "random", "werner"]),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+@settings(max_examples=60)
+def test_ball_test_keeps_the_bytes_of_mixed_stacks(items):
+    def draw(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "deviation":
+            state = BellDiagonalState(*rng.uniform(-1.0, 1.0, 3), mode="deviation")
+            return local_rotation(state.density_matrix(epsilon=1e-5), rng)
+        if kind == "random":
+            return random_density_matrix(4, int(rng.integers(1, 5)), seed=rng)
+        return local_rotation(werner(rng.uniform(0.0, 1.0)), rng)
+
+    rhos = np.stack([draw(kind, seed) for kind, seed in items])
+    assert_same_bytes_as_oracle(rhos)
+    assert_same_bytes_as_oracle(rhos.reshape((1, len(items), 4, 4)))
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-1.0, 0.0), st.sampled_from([0.0, 1e-12, 0.5]))
+@example(0, -1.0, 0.0)
+@example(0, 0.0, 0.0)
+@settings(max_examples=60)
+def test_ball_test_never_certifies_zero_or_negative_trace(seed, trace, spread):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    traceless = (g + g.conj().T) / 2.0
+    traceless -= np.trace(traceless).real / 4.0 * np.eye(4)
+    rho = trace * np.eye(4) / 4.0 + spread * traceless
+    assert_same_bytes_as_oracle(rho)
+    assert_same_bytes_as_oracle(-rho)
+
+
+def test_negativity_of_minus_identity_quarter_is_two():
+    assert negativity(-np.eye(4) / 4.0) == 2.0
+    assert negativity(np.zeros((4, 4))) == 0.0
+
+
+def test_ball_test_is_silent_on_huge_entries():
+    # the sum of squares overflows to inf, which fails the test without a warning
+    for rho in (1e200 * np.eye(4), 1e200 * werner(0.2), -1e200 * np.eye(4)):
+        assert_same_bytes_as_oracle(rho)
+
+
+def test_ball_test_still_rejects_non_hermitian_input():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = 1e-6  # purity 1/4 + 1e-12: inside the ball
+    with pytest.raises(ValueError, match="Hermitian"):
+        negativity(rho)
+    with pytest.raises(ValueError, match="Hermitian"):
+        negativity(np.stack([np.eye(4) / 4.0, rho]))
+
+
+def test_ball_test_falls_back_when_asymmetry_exceeds_its_margin():
+    # Hermitian within 1e-12 and inside the ball, yet LAPACK, which reads the lower
+    # triangle only, sees the pair (x, x) in rho^T_B where rho has (x, 0): at this
+    # tiny trace that makes the eigenvalue d - x negative
+    x = 1e-12
+    t = x / 0.27
+    rho = np.eye(4, dtype=complex) * t / 4.0
+    rho[0, 1] = x  # row 1, column 0 of rho^T_B
+    assert np.linalg.norm(rho) <= t * np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN)
+    assert negativity_by_eigenvalues(rho) > 0.0
+    assert_same_bytes_as_oracle(rho)
+
+
+def test_negativity_is_nan_on_non_finite_items():
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = np.nan
+    assert np.isnan(negativity(rho))
+    bell = np.outer(SINGLET, SINGLET)
+    stack = np.stack([bell, rho, np.full((4, 4), np.nan), np.eye(4) / 4.0])
+    got = negativity(stack)
+    assert np.isnan(got[1:3]).all()
+    assert got[0] == negativity(bell) and got[3] == 0.0
+
+
+def test_geometric_discord_eig_is_nan_where_the_closed_form_is():
+    s = 0.1 * np.eye(3)
+    s[0, 1] = np.nan
+    assert np.isnan(geometric_discord_closed(s)[0])
+    assert np.isnan(geometric_discord_eig(s))
+    stack = np.stack([0.1 * np.eye(3), s, np.full((3, 3), np.nan)])
+    got = geometric_discord_eig(stack)
+    assert got[0] == geometric_discord_eig(0.1 * np.eye(3)) and np.isnan(got[1:]).all()

@@ -301,3 +301,24 @@ def test_detect_transition_does_not_import_numpy_ma():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("state, calls", [
+    (RHO2, 0),  # eps-close to I/4: the purity test certifies every point PPT
+    (BellDiagonalState(0.6, -0.4, 0.3, mode="full"), 1),  # entangled at first
+])
+def test_trajectory_negativity_diagonalizes_only_outside_the_ball(monkeypatch, state, calls):
+    import qcorr.measures
+
+    seen = []
+    original = qcorr.measures.hermitian_eigenvalues
+
+    def counted(mat):
+        seen.append(np.shape(mat))
+        return original(mat)
+
+    monkeypatch.setattr(qcorr.measures, "hermitian_eigenvalues", counted)
+    traj = make_trajectory(state, n_points=51)
+    assert len(seen) == calls
+    if not calls:
+        assert traj.reports.negativity.tobytes() == np.zeros(51).tobytes()
