@@ -116,7 +116,9 @@ def commands(inputs: Path) -> dict[str, list[str]]:
         cmds[f"batch_{fmt}"] = batch + ["--output", f"batch.{fmt}", "--format", fmt]
     # one-sample campaigns, and repeated, unsorted dims at an n that is no multiple
     # of any rank cycle: the row indexing of the stacked campaign pass
-    for label, (n, seed, dims) in {"n1": (1, 3, "2"), "n37": (37, 5, "5,2,2,8")}.items():
+    # and n = 5000, several chunks of samples: the seams between them
+    for label, (n, seed, dims) in {"n1": (1, 3, "2"), "n37": (37, 5, "5,2,2,8"),
+                                   "n5000": (5000, 7, "2,3,4")}.items():
         cmds[f"batch_{label}"] = ["batch", "--n", str(n), "--seed", str(seed), "--dims", dims,
                                   "--output", f"batch_{label}.csv"]
     return cmds

@@ -8,10 +8,19 @@ Four families of checks run over freshly sampled random states:
 * D_G = N^2 on pure two-qubit states (tolerance 1e-9).
 
 Each campaign draws from its own child of the master seed, so reports
-are reproducible and campaigns are insensitive to one another. Only S and
-the two two-qubit state stacks are kept, and each measure runs once over
-the (campaign, n) stack; it works item by item, so every value is the
-one a call per campaign gives, bit for bit.
+are reproducible and campaigns are insensitive to one another. The sample
+index is walked in chunks of c samples, with c = CHUNK_ENTRIES // max over
+d of (rows_d 4 d^2), at least 1, where rows_d counts the campaigns on 2 x d
+states. Within a chunk the campaigns that share a d are one padded block:
+one sampler call, one ``bloch_decompose`` and one ``s_matrix``, with the
+two-qubit campaigns as a view of the d = 2 block. Each measure then runs
+once over the chunk's (campaign, c) stack of S matrices; it works item by
+item, so every value is the one a call per campaign gives, bit for bit. One
+pass over a (check, c) table scores every campaign, and violations and the
+worst value accumulate across chunks. Each campaign's generator carries
+its stream from chunk to chunk, so the chunk size never shows in a report,
+and memory stays flat in n: no block holds more than CHUNK_ENTRIES complex
+entries unless the rows of one sample alone do (then c = 1).
 """
 from __future__ import annotations
 
@@ -28,6 +37,8 @@ CLOSED_VS_EIG_TOL = 1e-9
 ORDER_TOL = 1e-10
 MIXED_BOUND_TOL = 1e-9
 PURE_IDENTITY_TOL = 1e-9
+#: complex entries of the padded Ginibre block one chunk draws for one dimension
+CHUNK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -39,12 +50,10 @@ class CampaignResult:
     tolerance: float
 
 
-def _campaign(name: str, values: np.ndarray, tolerance: float) -> CampaignResult:
-    """One campaign from its per-sample excess values: a violation is a value not
-    within tolerance (NaN included), and ``worst`` is the largest value."""
-    return CampaignResult(name=name, samples=values.size,
-                          violations=int(np.count_nonzero(~(values <= tolerance))),
-                          worst=float(np.max(values)), tolerance=tolerance)
+def _score(table: np.ndarray, tolerances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (campaign, sample) table of excess values: the violations, values
+    not within the row's tolerance (NaN included), and the largest value (NaN if any is)."""
+    return np.count_nonzero(~(table <= tolerances[:, None]), axis=1), np.max(table, axis=1)
 
 
 def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
@@ -53,29 +62,44 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
         raise ValueError(f"n must be at least 1, got {n}")
     dims = tuple(dims)
     k = len(dims)
-    children = iter(np.random.SeedSequence(seed).spawn(k + 2))
-    s, two_qubit = np.empty((k + 2, n, 3, 3)), np.empty((2, n, 4, 4), dtype=complex)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(k + 2)]
     # rows: each 2 x d pair, then mixed and pure two qubits; ranks cycle 1..max_rank
-    for row, (d, max_rank) in enumerate([(d, 2 * d) for d in dims] + [(2, 4), (2, 1)]):
-        rhos = random_density_matrix(2 * d, rank=1 + np.arange(n) % max_rank,
-                                     seed=np.random.default_rng(next(children)))
-        s[row] = s_matrix(bloch_decompose(rhos, d), d)
-        if row >= k:
-            two_qubit[row - k] = rhos
-    closed = geometric_discord_closed(s)[0]
-    gap = np.abs(closed[:k] - geometric_discord_eig(s[:k]))
-    order = q_lower_bound(s[:k]) - closed[:k]
-    # float_power is C pow, as is ** on the float negativity() returns for one
-    # state, so N^2 matches the single-state value bit for bit; array ** 2
-    # squares instead and differs by an ulp on about 0.1 % of inputs
-    nsq = np.float_power(negativity(two_qubit), 2)
-    results = []
-    for row, d in enumerate(dims):
-        results += [_campaign(f"closed_vs_eig[d={d}]", gap[row], CLOSED_VS_EIG_TOL),
-                    _campaign(f"order_q_le_dg[d={d}]", order[row], ORDER_TOL)]
-    return results + [_campaign("mixed_dg_ge_nsq", nsq[0] - closed[k], MIXED_BOUND_TOL),
-                      _campaign("pure_dg_eq_nsq", np.abs(closed[k + 1] - nsq[1]),
-                                PURE_IDENTITY_TOL)]
+    max_ranks = np.array([2 * d for d in dims] + [4, 1])
+    # one block per dimension, its rows ascending, so the two-qubit rows close the d = 2 block
+    blocks = {}
+    for row, d in enumerate(dims + (2, 2)):
+        blocks.setdefault(d, []).append(row)
+    chunk = max(1, CHUNK_ENTRIES // max(len(rows) * 4 * d * d for d, rows in blocks.items()))
+    tolerances = np.array([CLOSED_VS_EIG_TOL, ORDER_TOL] * k + [MIXED_BOUND_TOL,
+                                                                 PURE_IDENTITY_TOL])
+    violations, worst = np.zeros(2 * k + 2, dtype=int), np.full(2 * k + 2, -np.inf)
+    for start in range(0, n, chunk):
+        index = np.arange(start, min(start + chunk, n))
+        s = np.empty((k + 2, index.size, 3, 3))
+        for d, rows in blocks.items():
+            rhos = random_density_matrix(2 * d, rank=1 + index % max_ranks[rows, None],
+                                         seed=[rngs[row] for row in rows])
+            s[rows] = s_matrix(bloch_decompose(rhos, d), d)
+            if d == 2:
+                two_qubit = rhos[-2:]
+        closed = geometric_discord_closed(s)[0]
+        # float_power is C pow, as is ** on the float negativity() returns for one
+        # state, so N^2 matches the single-state value bit for bit; array ** 2
+        # squares instead and differs by an ulp on about 0.1 % of inputs
+        nsq = np.float_power(negativity(two_qubit), 2)
+        # rows: each 2 x d pair's closed_vs_eig and order_q_le_dg, then mixed and pure
+        table = np.empty((2 * k + 2, index.size))
+        table[0:2 * k:2] = np.abs(closed[:k] - geometric_discord_eig(s[:k]))
+        table[1:2 * k:2] = q_lower_bound(s[:k]) - closed[:k]
+        table[-2] = nsq[0] - closed[k]
+        table[-1] = np.abs(closed[k + 1] - nsq[1])
+        count, top = _score(table, tolerances)
+        violations += count
+        worst = np.maximum(worst, top)  # NaN stays NaN
+    names = [f"{check}[d={d}]" for d in dims for check in ("closed_vs_eig", "order_q_le_dg")]
+    names += ["mixed_dg_ge_nsq", "pure_dg_eq_nsq"]
+    return [CampaignResult(name, n, *values) for name, *values
+            in zip(names, violations.tolist(), worst.tolist(), tolerances.tolist())]
 
 
 def total_violations(results: list[CampaignResult]) -> int:

@@ -15,9 +15,10 @@ holds exactly (for d = 2 all prefactors reduce to the familiar 1/4).
 ``bloch_decompose`` reads (x, y, C) off the qubit blocks of a state, or of
 a stack of states (leading axes before the matrix axes), with per-d index
 arrays of O(d^2) entries.
-``random_density_matrix`` draws a stack of Ginibre states of mixed rank
-in one padded (dim x dim) matrix product, bit for bit the states and
-random stream of one call per state.
+``random_density_matrix`` draws a stack of Ginibre states of mixed rank,
+or a block of such stacks with one random stream per row, in one padded
+(dim x dim) matrix product, bit for bit the states and random streams of
+one call per state.
 """
 from __future__ import annotations
 
@@ -173,38 +174,64 @@ def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
         )
 
 
+@functools.cache
+def _column_index(dim: int) -> np.ndarray:
+    """(2, dim, dim) column index of each real and imaginary entry of a dim x dim G."""
+    index = np.broadcast_to(np.arange(dim), (2, dim, dim)).copy()
+    index.setflags(write=False)
+    return index
+
+
 def random_density_matrix(
-    dim: int, rank: int | np.ndarray | None = None, seed: int | np.random.Generator = 0
+    dim: int, rank: int | np.ndarray | None = None,
+    seed: int | np.random.Generator | list | tuple = 0,
 ) -> np.ndarray:
     """Random density matrix G G^dag / tr[G G^dag] with Ginibre G of rank ``rank``.
 
-    ``rank`` (default dim) is an int in [1, dim] for one (dim, dim) state, or a
-    1-D int sequence for a (len(rank), dim, dim) stack, one state per entry.
+    ``rank`` (default dim) is an int in [1, dim] for one (dim, dim) state, a
+    1-D int sequence for a (len(rank), dim, dim) stack, one state per entry, or
+    a 2-D (rows, n) int array for a (rows, n, dim, dim) block with one seed per
+    row in a list or tuple ``seed``: row j is the stack
+    ``random_density_matrix(dim, rank[j], seed[j])``, bit for bit.
     Every state's G is a dim x dim matrix whose columns from ``rank`` on are
-    zero, filled with the 2 * dim * rank normals the state takes from the stream;
-    the whole stack is then one matrix product, one trace normalisation and one
-    hermitisation. One state is the same product as an item of a stack, so a
-    stack is bit for bit the states one-at-a-time calls draw from the same
-    stream. Padding costs dim / rank times the flops of a dim x rank G.
-    Deterministic for a fixed integer seed; a Generator may be passed instead.
+    zero, filled with the 2 * dim * rank normals the state takes from its
+    row's stream; the whole block is then one matrix product, one trace
+    normalisation and one hermitisation, both in place. One state is the same
+    product as an item of a stack, so a stack is bit for bit the states
+    one-at-a-time calls draw from the same stream, and since a Generator
+    carries its stream across calls, consecutive calls on the same Generators
+    give the bits of one call over the concatenated ranks. Padding costs
+    dim / rank times the flops of a dim x rank G.
+    Deterministic for fixed integer seeds; Generators may be passed instead.
     """
     ranks = np.asarray(dim if rank is None else rank)
-    if ranks.ndim > 1 or ranks.size == 0 or ranks.dtype.kind not in "iu":
-        raise ValueError(f"rank must be an integer or a 1-D integer sequence, got {rank!r}")
-    values = ranks.ravel().tolist()  # builtin min/max: cheaper than numpy's on one rank
-    if min(values) < 1 or max(values) > dim:
+    if ranks.ndim > 2 or ranks.size == 0 or ranks.dtype.kind not in "iu":
+        raise ValueError(f"rank must be an integer or a 1-D or 2-D integer array, got {rank!r}")
+    if ranks.ndim < 2:
+        seeds = [seed]
+    elif isinstance(seed, (list, tuple)) and len(seed) == len(ranks):
+        seeds = seed
+    else:
+        raise ValueError(f"a rank of shape {ranks.shape} takes a list of {len(ranks)} seeds, "
+                         f"got {seed!r}")
+    # builtin min/max/sum: cheaper than numpy's on a few ranks, and no integer overflow
+    rows = ranks.reshape(len(seeds), -1).tolist()
+    if min(map(min, rows)) < 1 or max(map(max, rows)) > dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)  # returns a Generator as it is
-    # state i takes its 2 * dim * rank_i normals as (2, dim, rank_i) in C order, which is
-    # the C order of the unmasked entries of its (2, dim, dim) block
-    normals = np.zeros((ranks.size, 2, dim, dim))
-    used = np.broadcast_to(np.arange(dim) < ranks.reshape(-1, 1, 1, 1), normals.shape)
-    normals[used] = rng.standard_normal(2 * dim * sum(values))
-    g = normals[:, 0] + 1j * normals[:, 1]
+    # each state takes its 2 * dim * rank normals as (2, dim, rank) in C order: the real
+    # parts of the first rank columns of G, then the imaginary parts, written straight
+    # into G's float view; the rows' streams follow one another in the block's C order
+    draws = [np.random.default_rng(s).standard_normal(2 * dim * sum(row))  # a Generator as is
+             for s, row in zip(seeds, rows)]
+    g = np.zeros((ranks.size, dim, dim), dtype=complex)
+    parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
+    parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = \
+        draws[0] if len(draws) == 1 else np.concatenate(draws)
     h = g @ g.conj().swapaxes(1, 2)
     h /= h.trace(axis1=1, axis2=2).real[:, None, None]
-    rho = (h + h.conj().swapaxes(1, 2)) / 2.0
-    return rho.reshape(ranks.shape + (dim, dim))
+    h += h.conj().swapaxes(1, 2)
+    h /= 2.0
+    return h.reshape(ranks.shape + (dim, dim))
 
 
 def random_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:

@@ -25,7 +25,8 @@ def hermitian_asymmetry(a: np.ndarray) -> float:
     """max |a - a^H| over a stack of complex matrices; ValueError above
     HERMITICITY_TOL. Otherwise NaN exactly when an entry is not finite (a
     non-finite entry gives NaN on the diagonal, or inf or NaN off it)."""
-    asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
+        asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
     if asymmetry > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return asymmetry
@@ -48,7 +49,8 @@ def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
+        asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
     if asymmetry > SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric within 1e-12")
     return _descending_spectra(m, asymmetry)

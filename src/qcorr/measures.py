@@ -245,7 +245,8 @@ def _inside_separable_ball(rho: np.ndarray) -> bool:
     ``hermitian_eigenvalues`` is run here, with its ValueError.
     """
     entries = rho.reshape(-1, 16).view(float)
-    radius = entries @ _BALL_TRACE_WEIGHTS  # tr[rho] sqrt(1/3 - margin), item by item
+    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: a NaN radius fails the test
+        radius = entries @ _BALL_TRACE_WEIGHTS  # tr[rho] sqrt(1/3 - margin), item by item
     # einsum's summed squares overflow to inf without a warning, and an inf or NaN
     # norm fails the test
     norm = np.sqrt(np.einsum("ij,ij->i", entries, entries))

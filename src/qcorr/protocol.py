@@ -163,10 +163,10 @@ def run_direct_protocol(
         raise ValueError(f"shots must be an integer in 1..2**63 - 1, got {shots}")
     readouts = _readouts(rho)
     if shots is not None:
+        # expectation can stick out of [-1, 1] by round-off
+        probs = np.clip((1.0 + readouts) / 2.0, 0.0, 1.0).tolist()
         for k, child in enumerate(np.random.SeedSequence(seed).spawn(len(_READOUTS))):
-            # expectation can stick out of [-1, 1] by round-off
-            prob = float(np.clip((1.0 + readouts[k]) / 2.0, 0.0, 1.0))
-            ups = np.random.default_rng(child).binomial(shots, prob)
+            ups = np.random.default_rng(child).binomial(shots, probs[k])
             readouts[k] = 2.0 * ups / shots - 1.0
     return MeasurementRecord(
         x_est=readouts[9:], c_est=readouts[:9].reshape(3, 3) * _SIGNS,

@@ -263,6 +263,55 @@ def test_stacked_draw_narrow_integer_ranks():
         assert np.array_equal(rho, random_density_matrix(50, rank=int(rank), seed=rng))
 
 
+def rows_of_seeds(data, int_seeds, rows):
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=rows, max_size=rows))
+    return seeds, lambda: [s if int_seeds else np.random.default_rng(s) for s in seeds]
+
+
+@given(st.integers(2, 16), st.integers(1, 4), st.data(), st.booleans())
+@settings(max_examples=60)
+def test_block_draw_equals_row_draws(dim, rows, data, int_seeds):
+    # row j of a 2-D rank is the stack one call draws from seed j
+    n = data.draw(st.integers(1, 12))
+    ranks = np.array(data.draw(st.lists(st.integers(1, dim), min_size=rows * n,
+                                        max_size=rows * n))).reshape(rows, n)
+    seeds, make = rows_of_seeds(data, int_seeds, rows)
+    block = random_density_matrix(dim, rank=ranks, seed=make())
+    assert block.shape == (rows, n, dim, dim)
+    for j in range(rows):
+        want = random_density_matrix(dim, rank=ranks[j], seed=seeds[j])
+        assert block[j].tobytes() == want.tobytes()
+
+
+@given(st.integers(2, 16), st.integers(1, 4), st.data())
+@settings(max_examples=40)
+def test_consecutive_block_draws_equal_one_draw(dim, rows, data):
+    # a Generator carries its stream, so two chunks are the bits of one whole draw
+    n = data.draw(st.integers(2, 12))
+    cut = data.draw(st.integers(1, n - 1))
+    ranks = np.array(data.draw(st.lists(st.integers(1, dim), min_size=rows * n,
+                                        max_size=rows * n))).reshape(rows, n)
+    _, make = rows_of_seeds(data, False, rows)
+    rngs = make()
+    chunks = [random_density_matrix(dim, rank=part, seed=rngs)
+              for part in (ranks[:, :cut], ranks[:, cut:])]
+    whole = random_density_matrix(dim, rank=ranks, seed=make())
+    assert np.concatenate(chunks, axis=1).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("rank, seed", [
+    (np.ones((2, 3), dtype=int), [1]),  # fewer seeds than rows
+    (np.ones((2, 3), dtype=int), (1, 2, 3)),  # more seeds than rows
+    (np.ones((2, 3), dtype=int), 1),  # one seed for two rows
+    (np.ones((1, 2, 3), dtype=int), [1]),  # 3-D rank
+    (np.array([[1, 2], [4, 5]]), [1, 2]),  # out of range in the second row
+    (np.array([[1, 0], [4, 4]]), [1, 2]),  # out of range in the first row
+])
+def test_block_draw_rejects_bad_rank_or_seeds(rank, seed):
+    with pytest.raises(ValueError, match="rank"):
+        random_density_matrix(4, rank=rank, seed=seed)
+
+
 def test_check_density_matrix_accepts_valid():
     check_density_matrix(random_density_matrix(4, seed=8))
 

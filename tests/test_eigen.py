@@ -108,8 +108,18 @@ def test_non_finite_items_get_nan_spectra():
     assert got.shape == (3, 1, 4)
     assert got[0, 0].tolist() == [4.0, 3.0, 2.0, 1.0]
     assert np.isnan(got[1:]).all()
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal of a - a^H
-        assert np.isnan(sym3_eigenvalues(np.diag([1.0, np.inf, 0.0]))).all()
+    # inf - inf on the diagonal of a - a^H: a NaN asymmetry, without a warning
+    assert np.isnan(sym3_eigenvalues(np.diag([1.0, np.inf, 0.0]))).all()
+
+
+@pytest.mark.parametrize("diagonal", [[1.0, np.inf, 0.0, 0.0], [1.0, -np.inf, np.inf, 0.0],
+                                      [-np.inf, 0.5, 0.5, 0.0]])
+def test_infinite_diagonal_gives_nan_spectra(diagonal):
+    h = np.diag(diagonal).astype(complex)
+    assert np.isnan(hermitian_eigenvalues(h)).all()
+    assert np.isnan(sym3_eigenvalues(np.diag(diagonal[:3]))).all()
+    got = hermitian_eigenvalues(np.stack([h, np.eye(4) / 4.0]))
+    assert np.isnan(got[0]).all() and got[1].tolist() == [0.25] * 4
 
 
 def test_off_diagonal_inf_fails_the_symmetry_check():

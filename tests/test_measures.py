@@ -536,6 +536,16 @@ def test_negativity_is_nan_on_non_finite_items():
     assert got[0] == negativity(bell) and got[3] == 0.0
 
 
+@pytest.mark.parametrize("diagonal", [[1.0, np.inf, 0.0, 0.0], [1.0, -np.inf, np.inf, 0.0]])
+def test_negativity_is_nan_on_infinite_entries(diagonal):
+    # inf * 0 in the purity test and inf - inf in the Hermiticity check give NaN,
+    # the intended signal, without a warning
+    rho = np.diag(diagonal).astype(complex)
+    assert np.isnan(negativity(rho))
+    got = negativity(np.stack([rho, np.eye(4) / 4.0]))
+    assert np.isnan(got[0]) and got[1] == 0.0
+
+
 def test_geometric_discord_eig_is_nan_where_the_closed_form_is():
     s = 0.1 * np.eye(3)
     s[0, 1] = np.nan
