@@ -37,20 +37,20 @@ def main() -> int:
 
     exact = run_direct_protocol(rho)
     tomo = bloch_decompose(rho)
-    s_direct = s_matrix(exact.to_bloch_record())
+    s_direct = s_matrix(exact)
     s_tomo = s_matrix(tomo)
     for label, s in (("direct", s_direct), ("decomposition", s_tomo)):
         d_g, _ = geometric_discord_closed(s)
         print(f"{label:>14}: d_g = {format_float(d_g)}, "
               f"q = {format_float(q_lower_bound(s))}")
     print(f"max |direct - decomposition| over C: "
-          f"{format_float(np.max(np.abs(exact.c_est - tomo.C)))}")
+          f"{format_float(np.max(np.abs(exact.C - tomo.C)))}")
 
     print("\nshot-noise convergence (rms error of the 9 correlation readouts):")
     print(f"{'shots':>10}  {'rms error':>12}")
     for shots in (100, 1_000, 10_000, 100_000, 1_000_000):
         noisy = run_direct_protocol(rho, shots=shots, seed=args.seed)
-        rms = float(np.sqrt(np.mean((noisy.c_est - exact.c_est) ** 2)))
+        rms = float(np.sqrt(np.mean((noisy.C - exact.C) ** 2)))
         print(f"{shots:>10}  {rms:>12.3e}")
     return 0
 

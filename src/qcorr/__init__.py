@@ -46,10 +46,6 @@ from .measures import (
 )
 from .protocol import (
     ROTATION_TABLE,
-    MeasurementRecord,
-    cnot_gate,
-    direct_correlation,
-    direct_local,
     measurement_budget,
     rotation_gate,
     run_direct_protocol,
@@ -63,7 +59,6 @@ __all__ = [
     "CorrelationReport",
     "InvalidStateError",
     "KrausSet",
-    "MeasurementRecord",
     "ROTATION_TABLE",
     "RelaxationParams",
     "Trajectory",
@@ -71,10 +66,7 @@ __all__ = [
     "apply_two_qubit_channel",
     "bloch_decompose",
     "check_density_matrix",
-    "cnot_gate",
     "detect_transition",
-    "direct_correlation",
-    "direct_local",
     "evolve",
     "full_report",
     "gad_kraus",

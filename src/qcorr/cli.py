@@ -128,8 +128,8 @@ def cmd_protocol(args) -> int:
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else args.seed
-    measured = run_direct_protocol(rho, shots=args.shots, seed=seed)
-    direct, tomo = measured.to_bloch_record(), bloch_decompose(rho, 2)
+    direct = run_direct_protocol(rho, shots=args.shots, seed=seed)
+    tomo = bloch_decompose(rho, 2)
 
     # the direct and tomography records go through the measures as one stack
     both, units = scaled_record(BlochRecord(x=np.stack([direct.x, tomo.x]),
@@ -151,17 +151,17 @@ def cmd_protocol(args) -> int:
         "budget": {"direct": direct_n, "tomography": tomo_n},
         "x_est": both.x[0],
         "c_est": both.C[0],
-        "readout_count": measured.readout_count,
-        "shots": measured.shots,
-        "seed": measured.seed,
+        "readout_count": direct_n,
+        "shots": args.shots,
+        "seed": None if args.shots is None else seed,
         "direct": direct_report.as_record(),
         "tomography": tomo_report.as_record(),
         "max_measure_difference": max_diff,
     }
     if args.shots is not None:
         exact = run_direct_protocol(rho)
-        diff = BlochRecord(x=np.abs(measured.x_est - exact.x_est), y=np.zeros(3),
-                           C=np.abs(measured.c_est - exact.c_est))
+        diff = BlochRecord(x=np.abs(direct.x - exact.x), y=np.zeros(3),
+                           C=np.abs(direct.C - exact.C))
         err, _ = scaled_record(diff, mode, eps)
         lines.append("statistical error (x readouts): "
                      + " ".join(format_float(v) for v in err.x))

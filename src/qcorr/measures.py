@@ -125,37 +125,35 @@ def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
 
 
-def _check_smatrix(s_mat: np.ndarray) -> np.ndarray:
-    s = np.asarray(s_mat, dtype=float)
-    if s.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
-        raise ValueError("S matrix is not symmetric within 1e-12")
-    return s
-
-
 def _det3(m: np.ndarray) -> np.ndarray:
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _trace_invariants(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tr[S], tr[dev^2], dev) with dev the traceless part of S.
+def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tr[S], tr[dev^2], dev) with dev the traceless part of S, after
+    checking that S is a (stack of) symmetric 3x3 matrix.
 
     tr[dev^2] = tr[S^2] - tr[S]^2/3 is evaluated as a sum of squares, so
     the radical 6 tr[S^2] - 2 tr[S]^2 = 6 tr[dev^2] of the closed form
     can never go negative through rounding.
     """
-    t1 = np.trace(s, axis1=-2, axis2=-1)
-    dev = s - (t1 / 3.0)[..., None, None] * _EYE3
-    m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
+    s = np.asarray(s_mat, dtype=float)
+    if s.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which passes on to the measures
+        if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
+            raise ValueError("S matrix is not symmetric within 1e-12")
+        t1 = np.trace(s, axis1=-2, axis2=-1)
+        dev = s - (t1 / 3.0)[..., None, None] * _EYE3
+        m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
     return t1, m2, dev
 
 
 def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_g, theta, q) of S in one pass over its trace invariants; theta is
     NaN where the spectrum is degenerate."""
-    t1, m2, dev = _trace_invariants(_check_smatrix(s_mat))
+    t1, m2, dev = _trace_invariants(s_mat)
     p = np.sqrt(m2 / 6.0)
     degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
     unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
@@ -192,7 +190,8 @@ def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
     with a non-finite entry, as from the closed form."""
     k_max = sym3_eigenvalues(s_mat)[..., 0]  # checks the shape and symmetry of S
     s = np.asarray(s_mat, dtype=float)
-    d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal gives NaN
+        d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
     return float(d_g) if s.ndim == 2 else d_g
 
 
@@ -202,7 +201,7 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2); the radical is
     computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    t1, m2, _ = _trace_invariants(_check_smatrix(s_mat))
+    t1, m2, _ = _trace_invariants(s_mat)
     return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
 
 
@@ -283,15 +282,15 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     return float(neg) if rho.ndim == 2 else neg
 
 
-def is_bell_diagonal(record: BlochRecord, tol: float = BELL_DIAGONAL_TOL) -> bool | np.ndarray:
-    """True when x, y and the off-diagonal part of C vanish within tol (d = 2)."""
+def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
+    """True when x, y and off-diagonal C vanish within BELL_DIAGONAL_TOL (d = 2)."""
     lead = record.x.shape[:-1]
     if record.d != 2:
         bell = np.zeros(lead, dtype=bool)
     else:
         off = record.C * (1.0 - _EYE3)  # keeps a non-finite diagonal visible
         parts = (record.x, record.y, off.reshape(lead + (9,)))
-        bell = np.max(np.abs(np.concatenate(parts, axis=-1)), axis=-1) <= tol
+        bell = np.max(np.abs(np.concatenate(parts, axis=-1)), axis=-1) <= BELL_DIAGONAL_TOL
     return bool(bell) if not lead else bell
 
 

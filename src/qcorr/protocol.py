@@ -14,7 +14,8 @@ exactly (verified operator-by-operator in the test suite).
 
 The 12 readout unitaries (9 correlators, 3 locals) are built once, at
 import, as one read-only (12, 4, 4) stack; a protocol run applies them
-all in one stacked product.
+all in one stacked product and returns the readouts as a BlochRecord
+(y = 0, since the qubit-B vector is not measured).
 """
 from __future__ import annotations
 
@@ -75,11 +76,6 @@ def rotation_gate(axis: str, angle: float) -> np.ndarray:
     return np.cos(angle / 2.0) * eye - 1j * np.sin(angle / 2.0) * sigma
 
 
-def cnot_gate() -> np.ndarray:
-    """CNOT with the first qubit as control."""
-    return _CNOT.copy()
-
-
 #: the protocol's readouts in run order: the 9 correlators row-major, then the 3 locals
 _READOUTS = [(nu, lam) for nu in (1, 2, 3) for lam in (1, 2, 3)]
 _READOUTS += [(nu, None) for nu in (1, 2, 3)]
@@ -103,49 +99,13 @@ _UNITARIES_H = _UNITARIES.conj().transpose(0, 2, 1).copy()
 _UNITARIES_H.setflags(write=False)
 
 
-def _readouts(rho: np.ndarray) -> np.ndarray:
-    """The sigma_1 (x) I readouts of U rho U^dag for a two-qubit state, in
-    _READOUTS order, before any sign correction."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
-    return np.einsum("ij,kji->k", _READOUT, _UNITARIES @ rho @ _UNITARIES_H).real
-
-
-def direct_correlation(rho: np.ndarray, nu: int, lam: int) -> float:
-    """tr[(sigma_nu (x) sigma_lam) rho] via rotations, CNOT and one readout."""
-    entry = ROTATION_TABLE.get((nu, lam))
-    if entry is None:
-        raise ValueError(f"correlation indices must lie in 1..3, got ({nu}, {lam})")
-    return entry.sign * float(_readouts(rho)[_READOUTS.index((nu, lam))])
-
-
-def direct_local(rho: np.ndarray, nu: int) -> float:
-    """tr[(sigma_nu (x) I) rho] via a single-qubit rotation and the readout."""
-    if nu not in LOCAL_ROTATIONS:
-        raise ValueError(f"local index must lie in 1..3, got {nu}")
-    return float(_readouts(rho)[_READOUTS.index((nu, None))])
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of one protocol run: local vector and correlation estimates."""
-
-    x_est: np.ndarray
-    c_est: np.ndarray
-    readout_count: int
-    shots: int | None = None
-    seed: int | None = None
-
-    def to_bloch_record(self) -> BlochRecord:
-        """Bloch data with the (unmeasured) y vector set to zero."""
-        return BlochRecord(x=self.x_est.copy(), y=np.zeros(3), C=self.c_est.copy())
-
-
 def run_direct_protocol(
     rho: np.ndarray, shots: int | None = None, seed: int = 0
-) -> MeasurementRecord:
+) -> BlochRecord:
     """Run all 12 readouts (9 correlation + 3 local) on a two-qubit state.
+
+    The record holds the 3 local readouts as x, the 9 signed correlators
+    as C and y = 0, since the protocol does not measure y.
 
     Without ``shots`` every readout is the exact expectation value. With
     ``shots`` each readout becomes the average of that many simulated +-1
@@ -161,17 +121,18 @@ def run_direct_protocol(
     """
     if shots is not None and not 1 <= shots <= np.iinfo(np.int64).max:  # binomial's range
         raise ValueError(f"shots must be an integer in 1..2**63 - 1, got {shots}")
-    readouts = _readouts(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
+    # the sigma_1 (x) I readouts of U rho U^dag in _READOUTS order, signs not yet applied
+    readouts = np.einsum("ij,kji->k", _READOUT, _UNITARIES @ rho @ _UNITARIES_H).real
     if shots is not None:
         # expectation can stick out of [-1, 1] by round-off
         probs = np.clip((1.0 + readouts) / 2.0, 0.0, 1.0).tolist()
         for k, child in enumerate(np.random.SeedSequence(seed).spawn(len(_READOUTS))):
             ups = np.random.default_rng(child).binomial(shots, probs[k])
             readouts[k] = 2.0 * ups / shots - 1.0
-    return MeasurementRecord(
-        x_est=readouts[9:], c_est=readouts[:9].reshape(3, 3) * _SIGNS,
-        readout_count=len(_READOUTS), shots=shots, seed=None if shots is None else seed,
-    )
+    return BlochRecord(x=readouts[9:], y=np.zeros(3), C=readouts[:9].reshape(3, 3) * _SIGNS)
 
 
 def measurement_budget(d: int) -> tuple[int, int]:

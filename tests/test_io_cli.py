@@ -534,7 +534,7 @@ def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, 
         assert len(stacked) == 1  # one measure call per protocol run
         rho, mode, eps = cli._state_to_matrix(load_state_file(path), None)
         measured = run_direct_protocol(rho, shots=shots, seed=2 if shots else 0)
-        direct, units = scaled_record(measured.to_bloch_record(), mode, eps)
+        direct, units = scaled_record(measured, mode, eps)
         tomo, _ = scaled_record(bloch_decompose(rho, 2), mode, eps)
         assert list(stacked[0]) == [report_from_record(direct, 2, rho=rho, units=units),
                                     report_from_record(tomo, 2, rho=rho, units=units)]

@@ -554,3 +554,19 @@ def test_geometric_discord_eig_is_nan_where_the_closed_form_is():
     stack = np.stack([0.1 * np.eye(3), s, np.full((3, 3), np.nan)])
     got = geometric_discord_eig(stack)
     assert got[0] == geometric_discord_eig(0.1 * np.eye(3)) and np.isnan(got[1:]).all()
+
+
+@pytest.mark.parametrize("s", [np.diag([1.0, np.inf, 0.0]), np.diag([-np.inf, np.inf, 1.0]),
+                               np.full((3, 3), np.nan)])
+def test_s_measures_are_nan_on_non_finite_s(s):
+    # inf - inf in the symmetry check and the trace invariants gives NaN, the
+    # intended signal, without a warning; a finite item of the stack is untouched
+    finite = np.diag([0.3, 0.2, 0.1])
+    stack = np.stack([s, finite])
+    for measure in (lambda m: geometric_discord_closed(m)[0], q_lower_bound,
+                    geometric_discord_eig):
+        assert np.isnan(measure(s))
+        got = measure(stack)
+        assert np.isnan(got[0]) and got[1] == measure(finite)
+    assert geometric_discord_closed(s)[1] is None
+    assert np.isnan(geometric_discord_closed(stack)[1][0])

@@ -7,9 +7,6 @@ from qcorr import (
     BellDiagonalState,
     ROTATION_TABLE,
     bloch_decompose,
-    cnot_gate,
-    direct_correlation,
-    direct_local,
     geometric_discord_closed,
     measurement_budget,
     q_lower_bound,
@@ -19,7 +16,7 @@ from qcorr import (
     s_matrix,
 )
 from qcorr.bloch import SIGMA_X
-from qcorr.protocol import LOCAL_ROTATIONS, _READOUTS, _UNITARIES, _UNITARIES_H
+from qcorr.protocol import LOCAL_ROTATIONS, _CNOT, _READOUTS, _UNITARIES, _UNITARIES_H
 
 
 def bell_phi_plus():
@@ -60,7 +57,7 @@ def test_rotation_convention_direction():
 
 
 def test_cnot_truth_table():
-    k = cnot_gate()
+    k = _CNOT
     basis = np.eye(4, dtype=complex)
     assert np.allclose(k @ basis[:, 2], basis[:, 3], atol=0)  # |10> -> |11>
     assert np.allclose(k @ basis[:, 3], basis[:, 2], atol=0)
@@ -70,63 +67,47 @@ def test_cnot_truth_table():
 
 def test_cnot_builds_bell_state():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    ket = cnot_gate() @ np.kron(h, np.eye(2)) @ np.eye(4, dtype=complex)[:, 0]
+    ket = _CNOT @ np.kron(h, np.eye(2)) @ np.eye(4, dtype=complex)[:, 0]
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2)
     assert np.max(np.abs(ket - phi)) <= 1e-15
 
 
 def test_direct_correlation_bell_state():
-    assert direct_correlation(bell_phi_plus(), 1, 1) == pytest.approx(1.0, abs=1e-12)
+    assert run_direct_protocol(bell_phi_plus()).C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_direct_correlation_computational_state():
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1.0
-    assert direct_correlation(np.outer(ket, ket.conj()), 3, 3) == pytest.approx(1.0, abs=1e-12)
+    assert run_direct_protocol(np.outer(ket, ket.conj())).C[2, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_direct_correlation_prepared_sign():
     # the (2, 2) readout reproduces the prepared sign of the second coefficient
     eps = 1e-5
     rho = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation").density_matrix(eps)
-    got = direct_correlation(rho, 2, 2)
+    got = run_direct_protocol(rho).C[1, 1]
     want = bloch_decompose(rho).C[1, 1]
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(-0.06 * eps, abs=1e-12)
-
-
-def test_direct_correlation_index_validation():
-    with pytest.raises(ValueError):
-        direct_correlation(bell_phi_plus(), 0, 1)
-    with pytest.raises(ValueError):
-        direct_correlation(bell_phi_plus(), 1, 4)
-    with pytest.raises(ValueError, match=r"correlation indices must lie in 1..3, got \(1, 4\)"):
-        direct_correlation(bell_phi_plus(), 1, 4)
-    for nu in (0, 4):
-        with pytest.raises(ValueError, match=f"local index must lie in 1..3, got {nu}"):
-            direct_local(bell_phi_plus(), nu)
 
 
 def test_direct_readouts_match_decomposition_everywhere():
     rng = np.random.default_rng(13)
     for _ in range(150):
         rho = random_density_matrix(4, seed=rng)
-        rec = bloch_decompose(rho)
-        for nu in (1, 2, 3):
-            assert abs(direct_local(rho, nu) - rec.x[nu - 1]) <= 1e-12
-            for lam in (1, 2, 3):
-                got = direct_correlation(rho, nu, lam)
-                assert abs(got - rec.C[nu - 1, lam - 1]) <= 1e-12
+        rec, direct = bloch_decompose(rho), run_direct_protocol(rho)
+        assert np.max(np.abs(direct.x - rec.x)) <= 1e-12
+        assert np.max(np.abs(direct.C - rec.C)) <= 1e-12
 
 
 def test_direct_local_trivial_cases():
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1.0
-    assert direct_local(np.outer(ket, ket.conj()), 3) == pytest.approx(1.0, abs=1e-12)
+    assert run_direct_protocol(np.outer(ket, ket.conj())).x[2] == pytest.approx(1.0, abs=1e-12)
     rho = BellDiagonalState(0.4, 0.3, -0.2).density_matrix()
-    for nu in (1, 2, 3):
-        assert abs(direct_local(rho, nu)) <= 1e-12
+    assert np.max(np.abs(run_direct_protocol(rho).x)) <= 1e-12
 
 
 def test_table_covers_all_pairs_and_gates_are_unitary():
@@ -135,7 +116,7 @@ def test_table_covers_all_pairs_and_gates_are_unitary():
         u = np.kron(
             rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
         )
-        u = cnot_gate() @ u
+        u = _CNOT @ u
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
 
 
@@ -144,16 +125,15 @@ def test_protocol_exact_mode_reproduces_s_matrix():
     for _ in range(30):
         rho = random_density_matrix(4, seed=rng)
         record = run_direct_protocol(rho)
-        assert record.readout_count == 12
-        assert record.shots is None
-        s_direct = s_matrix(record.to_bloch_record())
+        assert np.array_equal(record.y, np.zeros(3))  # y is not measured
+        s_direct = s_matrix(record)
         s_tomo = s_matrix(bloch_decompose(rho))
         assert np.max(np.abs(s_direct - s_tomo)) <= 1e-12
 
 
 def test_protocol_measures_match_tomography():
     rho = random_density_matrix(4, seed=23)
-    rec = run_direct_protocol(rho).to_bloch_record()
+    rec = run_direct_protocol(rho)
     tomo = bloch_decompose(rho)
     s_p, s_t = s_matrix(rec), s_matrix(tomo)
     assert abs(geometric_discord_closed(s_p)[0] - geometric_discord_closed(s_t)[0]) <= 1e-10
@@ -164,26 +144,26 @@ def test_protocol_shot_mode_deterministic():
     rho = random_density_matrix(4, seed=29)
     a = run_direct_protocol(rho, shots=1000, seed=42)
     b = run_direct_protocol(rho, shots=1000, seed=42)
-    assert np.array_equal(a.c_est, b.c_est)
-    assert np.array_equal(a.x_est, b.x_est)
+    assert np.array_equal(a.C, b.C)
+    assert np.array_equal(a.x, b.x)
     c = run_direct_protocol(rho, shots=1000, seed=43)
-    assert not np.array_equal(a.c_est, c.c_est)
+    assert not np.array_equal(a.C, c.C)
 
 
 def test_protocol_shot_mode_bell_state_concentration():
     # <sigma_x sigma_x> = 1 exactly, so every simulated outcome is +1
     record = run_direct_protocol(bell_phi_plus(), shots=1_000_000, seed=1)
-    assert abs(record.c_est[0, 0] - 1.0) <= 5e-3
+    assert abs(record.C[0, 0] - 1.0) <= 5e-3
 
 
 def test_protocol_shot_error_scales_with_shots():
     rho = BellDiagonalState(0.5, -0.3, 0.2).density_matrix()
-    exact = run_direct_protocol(rho).c_est
+    exact = run_direct_protocol(rho).C
 
     def rms(shots):
         errs = []
         for seed in range(12):
-            est = run_direct_protocol(rho, shots=shots, seed=seed).c_est
+            est = run_direct_protocol(rho, shots=shots, seed=seed).C
             errs.append((est - exact).ravel())
         return float(np.sqrt(np.mean(np.concatenate(errs) ** 2)))
 
@@ -197,6 +177,12 @@ def test_protocol_rejects_zero_shots():
         run_direct_protocol(bell_phi_plus(), shots=0)
 
 
+def test_protocol_rejects_other_shapes():
+    for rho in (np.eye(2) / 2, np.eye(6) / 6, np.stack([bell_phi_plus()] * 2)):
+        with pytest.raises(ValueError, match="expected a two-qubit state"):
+            run_direct_protocol(rho)
+
+
 def test_protocol_rejects_shots_beyond_int64():
     # rejected before any binomial is drawn
     with pytest.raises(ValueError, match="shots"):
@@ -207,7 +193,7 @@ def _fresh_unitary(nu, lam):
     if lam is None:
         return np.kron(rotation_gate(*LOCAL_ROTATIONS[nu]), np.eye(2, dtype=complex))
     entry = ROTATION_TABLE[(nu, lam)]
-    return cnot_gate() @ np.kron(
+    return _CNOT @ np.kron(
         rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
     )
 
@@ -237,12 +223,8 @@ def test_protocol_equals_per_readout_loop(seed, rank):
     c_ref = np.array([[ROTATION_TABLE[nu, lam].sign * values[nu, lam] for lam in (1, 2, 3)]
                       for nu in (1, 2, 3)])
     record = run_direct_protocol(rho)
-    assert np.array_equal(record.x_est, x_ref)
-    assert np.array_equal(record.c_est, c_ref)
-    for nu in (1, 2, 3):
-        assert direct_local(rho, nu) == x_ref[nu - 1]
-        for lam in (1, 2, 3):
-            assert direct_correlation(rho, nu, lam) == c_ref[nu - 1, lam - 1]
+    assert np.array_equal(record.x, x_ref)
+    assert np.array_equal(record.C, c_ref)
 
 
 def test_measurement_budget():
