@@ -110,6 +110,20 @@ def commands(inputs: Path) -> dict[str, list[str]]:
                                         "--output", f"evolve_coarse.{fmt}", "--format", fmt]
         cmds[f"evolve_ball_{fmt}"] = ["evolve", "--state", str(inputs / "bell_ball.json"),
                                       "--output", f"evolve_ball.{fmt}", "--format", fmt]
+    # an --epsilon that sets the units, and evolve flags over the config keys they override
+    bell = str(inputs / "bell_deviation.json")
+    cmds["measure_bell_deviation_eps_json"] = ["measure", "--state", bell, "--epsilon", "1e-4",
+                                               "--no-include-local-bloch", "--format", "json",
+                                               "--output", "measure_bell_deviation_eps.json"]
+    cmds["protocol_bell_deviation_eps_shots"] = ["protocol", "--state", bell, "--epsilon", "1e-4",
+                                                 "--shots", "4000", "--seed", "5", "--output",
+                                                 "protocol_bell_deviation_eps_shots.json"]
+    config = str(inputs / "evolve.cfg")
+    cmds["evolve_config_flags"] = ["evolve", "--config", config, "--epsilon", "2e-5",
+                                   "--t-max", "0.3", "--points", "40", "--no-include-local-bloch",
+                                   "--output", "evolve_config_flags.csv"]
+    cmds["evolve_config_dt_json"] = ["evolve", "--config", config, "--dt", "0.004",
+                                     "--format", "json", "--output", "evolve_config_dt.json"]
     batch = ["batch", "--n", "200", "--seed", "11", "--dims", "2,3,4"]
     cmds["batch_text"] = batch
     for fmt in ("csv", "json"):

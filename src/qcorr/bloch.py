@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import hermitian_eigenvalues
+from .eigen import HERMITICITY_TOL, hermitian_eigenvalues
 
 TRACE_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
 PSD_TOL = -1e-10
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -152,24 +151,24 @@ def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
     return BlochRecord(x=coords[..., :3, -1], y=coords[..., 3, :-1], C=coords[..., :3, :-1])
 
 
-def check_density_matrix(rho: np.ndarray, name: str = "state") -> None:
+def check_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidStateError unless rho is Hermitian, unit trace and PSD."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"{name}: expected a square matrix, got shape {rho.shape}")
+        raise InvalidStateError(f"state: expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
-        raise InvalidStateError(f"{name}: matrix has non-finite entries")
+        raise InvalidStateError("state: matrix has non-finite entries")
     with np.errstate(over="ignore"):  # entries near the float limit: inf fails the checks
         asymmetry = np.max(np.abs(rho - rho.conj().T))
         tr = complex(np.trace(rho))
     if asymmetry > HERMITICITY_TOL:
-        raise InvalidStateError(f"{name}: matrix is not Hermitian within {HERMITICITY_TOL}")
+        raise InvalidStateError(f"state: matrix is not Hermitian within {HERMITICITY_TOL}")
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"{name}: trace {tr.real!r} differs from 1 beyond {TRACE_TOL}")
+        raise InvalidStateError(f"state: trace {tr.real!r} differs from 1 beyond {TRACE_TOL}")
     smallest = float(hermitian_eigenvalues(rho)[-1])
     if smallest < PSD_TOL:
         raise InvalidStateError(
-            f"{name}: smallest eigenvalue {smallest!r} is below {PSD_TOL}",
+            f"state: smallest eigenvalue {smallest!r} is below {PSD_TOL}",
             min_eigenvalue=smallest,
         )
 

@@ -240,16 +240,15 @@ def make_trajectory(
     if not (0 < dt and (n_points - 1) * dt < np.inf):
         raise ValueError(f"dt must be positive and finite over {n_points} points, got {dt}")
 
-    coeffs0 = state0.coefficients
-    if state0.mode == "deviation":
-        coeffs0 = params.epsilon * coeffs0
+    eps = params.epsilon if state0.mode == "deviation" else None
+    coeffs0 = state0.coefficients if eps is None else eps * state0.coefficients
     times = np.arange(n_points) * dt
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
     r = _relax(np.diag([1.0, *coeffs0]), times, params)
     states = _states(r)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
-    rec, units = scaled_record(stacked, state0.mode, params.epsilon, include_local_bloch)
-    reports = report_from_record(rec, 2, rho=states, units=units)
+    rec, units = scaled_record(stacked, epsilon=eps, include_local_bloch=include_local_bloch)
+    reports = report_from_record(rec, rho=states, units=units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
     return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
 

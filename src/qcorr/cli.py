@@ -7,6 +7,10 @@ Subcommands::
     qcorr protocol  direct local-measurement run vs. full decomposition
     qcorr batch     seeded cross-check campaigns over random states
 
+A deviation-mode Bell state is reported in units of its eps (``--epsilon``,
+by default 1e-5): d_g and q in eps^2, q_n in eps. Each evolve flag stores
+its text under the config key it overrides (its argparse ``dest``).
+
 Exit codes: 0 success, 2 input/parse error, 3 invalid state,
 4 property violation in a batch run. Every command writes its output
 file before it prints, so an unwritable path exits 2 with nothing on
@@ -49,23 +53,22 @@ log = logging.getLogger("qcorr")
 
 
 def _state_to_matrix(state, epsilon: float | None):
-    """Full density matrix plus (mode, epsilon) bookkeeping for a loaded state."""
+    """Full density matrix of a loaded state, and the eps of its deviation units or None."""
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon must be positive and finite, got {epsilon}")
     if not isinstance(state, BellDiagonalState):
-        return state, "full", None
+        return state, None
+    eps = None
     if state.mode == "deviation":
         eps = RelaxationParams.epsilon if epsilon is None else epsilon
-        return state.density_matrix(epsilon=eps), "deviation", eps
-    return state.density_matrix(), "full", None
+    return state.density_matrix(epsilon=eps), eps
 
 
 def cmd_measure(args) -> int:
     state = load_state_file(args.state)
-    rho, mode, eps = _state_to_matrix(state, args.epsilon)
+    rho, eps = _state_to_matrix(state, args.epsilon)
     check_density_matrix(rho)
-    report = full_report(rho, mode=mode, epsilon=eps,
-                         include_local_bloch=args.include_local_bloch)
+    report = full_report(rho, epsilon=eps, include_local_bloch=args.include_local_bloch)
     if args.output:
         write_output(args.output, render_table(report.as_record(), args.format))
         log.info("wrote report to %s", args.output)
@@ -76,17 +79,8 @@ def cmd_measure(args) -> int:
 def _evolve_config(args):
     """Config file settings, with each given flag's text replacing its key's value."""
     raw = parse_config_file(args.config) if args.config else {}
-    flags = {
-        "state.file": args.state,
-        "grid.t_max": args.t_max,
-        "grid.dt": args.dt,
-        "grid.n_points": args.points,
-        "relaxation.epsilon": args.epsilon,
-        "include_local_bloch": args.include_local_bloch,
-        "output": args.output,
-        "format": args.format,
-    }
-    raw.update((key, str(value)) for key, value in flags.items() if value is not None)
+    raw.update((key, str(value)) for key, value in vars(args).items()
+               if value is not None and key not in ("command", "config", "func"))
     return build_config(raw)
 
 
@@ -123,7 +117,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_protocol(args) -> int:
     state = load_state_file(args.state)
-    rho, mode, eps = _state_to_matrix(state, args.epsilon)
+    rho, eps = _state_to_matrix(state, args.epsilon)
     check_density_matrix(rho)
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
@@ -134,8 +128,8 @@ def cmd_protocol(args) -> int:
     # the direct and tomography records go through the measures as one stack
     both, units = scaled_record(BlochRecord(x=np.stack([direct.x, tomo.x]),
                                             y=np.stack([direct.y, tomo.y]),
-                                            C=np.stack([direct.C, tomo.C])), mode, eps)
-    reports = report_from_record(both, 2, rho=np.stack([rho, rho]), units=units)
+                                            C=np.stack([direct.C, tomo.C])), epsilon=eps)
+    reports = report_from_record(both, rho=np.stack([rho, rho]), units=units)
     direct_report, tomo_report = reports
     # q_n counts only where both runs define it (NaN otherwise)
     max_diff = float(np.nanmax([abs(col[0] - col[1])
@@ -162,7 +156,7 @@ def cmd_protocol(args) -> int:
         exact = run_direct_protocol(rho)
         diff = BlochRecord(x=np.abs(direct.x - exact.x), y=np.zeros(3),
                            C=np.abs(direct.C - exact.C))
-        err, _ = scaled_record(diff, mode, eps)
+        err, _ = scaled_record(diff, epsilon=eps)
         lines.append("statistical error (x readouts): "
                      + " ".join(format_float(v) for v in err.x))
         for i, row in enumerate(err.C, start=1):
@@ -213,16 +207,16 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.set_defaults(func=cmd_measure)
 
     evolve = sub.add_parser("evolve", help="relaxation trajectory of a Bell state")
-    evolve.add_argument("--config", default=None, help="key = value config file")
-    evolve.add_argument("--state", default=None, help="bell-form state file")
-    evolve.add_argument("--t-max", dest="t_max", default=None)
-    evolve.add_argument("--dt", default=None)
-    evolve.add_argument("--points", default=None)
-    evolve.add_argument("--epsilon", default=None)
-    evolve.add_argument("--include-local-bloch", action=argparse.BooleanOptionalAction,
-                        default=None)
-    evolve.add_argument("--output", default=None)
-    evolve.add_argument("--format", choices=("csv", "json"), default=None)
+    evolve.add_argument("--config", help="key = value config file")
+    # every other flag stores its text under the config key it overrides
+    evolve.add_argument("--state", dest="state.file", metavar="STATE", help="bell-form state file")
+    evolve.add_argument("--t-max", dest="grid.t_max", metavar="T_MAX")
+    evolve.add_argument("--dt", dest="grid.dt", metavar="DT")
+    evolve.add_argument("--points", dest="grid.n_points", metavar="POINTS")
+    evolve.add_argument("--epsilon", dest="relaxation.epsilon", metavar="EPSILON")
+    evolve.add_argument("--include-local-bloch", action=argparse.BooleanOptionalAction)
+    evolve.add_argument("--output")
+    evolve.add_argument("--format", choices=("csv", "json"))
     evolve.set_defaults(func=cmd_evolve)
 
     protocol = sub.add_parser("protocol", help="direct measurement vs decomposition")

@@ -67,7 +67,7 @@ class CorrelationReport:
     0/0 there); ``q_n`` is None unless the state is Bell diagonal within
     tolerance; ``negativity`` is None for d > 2. ``units`` records the
     power of the thermal polarization the numbers carry: quadratic
-    measures (d_g, q) scale as eps^2 and q_n as eps^1 in deviation mode.
+    measures (d_g, q) scale as eps^2 and q_n as eps^1 in deviation units.
 
     The report of a stack holds one column per measure, a 1-D float array
     over the states in C order, with NaN where a one-state report holds None.
@@ -122,7 +122,8 @@ def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     x, c = record.x, record.C
     if x.shape[-1:] != (3,) or c.shape != x.shape[:-1] + (3, d * d - 1):
         raise ValueError(f"record shapes {x.shape}/{c.shape} do not match d={d}")
-    return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which passes on to the measures
+        return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
@@ -288,7 +289,8 @@ def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
     if record.d != 2:
         bell = np.zeros(lead, dtype=bool)
     else:
-        off = record.C * (1.0 - _EYE3)  # keeps a non-finite diagonal visible
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN: a non-finite diagonal stays visible
+            off = record.C * (1.0 - _EYE3)
         parts = (record.x, record.y, off.reshape(lead + (9,)))
         bell = np.max(np.abs(np.concatenate(parts, axis=-1)), axis=-1) <= BELL_DIAGONAL_TOL
     return bool(bell) if not lead else bell
@@ -296,7 +298,7 @@ def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
 
 def report_from_record(
     record: BlochRecord,
-    d: int | None = None,
+    *,
     rho: np.ndarray | None = None,
     units: str = UNITS_FULL,
 ) -> CorrelationReport:
@@ -310,11 +312,9 @@ def report_from_record(
     case and gives the report of plain numbers and None.
     """
     lead = record.x.ndim - 1
-    if d is None:
-        d = record.d
     record = BlochRecord(*(a.reshape((-1,) + a.shape[lead:]) for a in
                            (record.x, record.y, record.C)))
-    s = s_matrix(record, d)
+    s = s_matrix(record)
     d_g, theta, q = _closed_form(s)
     q_n = np.where(is_bell_diagonal(record),
                    negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1)),
@@ -327,27 +327,23 @@ def report_from_record(
 
 def scaled_record(
     record: BlochRecord,
-    mode: str = "full",
+    *,
     epsilon: float | None = None,
     include_local_bloch: bool = True,
 ) -> tuple[BlochRecord, str]:
     """Bloch data in the units the measures are reported in, and those units.
 
-    In ``deviation`` mode x, y and C are divided by epsilon, so d_g and q
-    come out in units of eps^2 and q_n in units of eps. With
+    A positive epsilon (the thermal polarization) divides x, y and C, so d_g
+    and q come out in units of eps^2 and q_n in units of eps; without one
+    the data keep full units, and any other epsilon is a ValueError. With
     ``include_local_bloch`` false the local Bloch vectors are zeroed,
     which evaluates the measures on the correlation part alone (the
     treatment under which Bell-diagonal dynamics stays Bell diagonal
     exactly). The arrays may carry leading stack axes.
     """
-    if mode == "full":
-        scale, units = 1.0, UNITS_FULL
-    elif mode == "deviation":
-        if epsilon is None or not epsilon > 0:
-            raise ValueError("deviation mode requires a positive epsilon")
-        scale, units = epsilon, UNITS_DEVIATION
-    else:
-        raise ValueError(f"mode must be 'full' or 'deviation', got {mode!r}")
+    if epsilon is not None and not epsilon > 0:
+        raise ValueError(f"epsilon must be positive (or None for full units), got {epsilon}")
+    scale, units = (1.0, UNITS_FULL) if epsilon is None else (epsilon, UNITS_DEVIATION)
     if include_local_bloch:
         x, y = record.x / scale, record.y / scale
     else:
@@ -357,13 +353,12 @@ def scaled_record(
 
 def full_report(
     rho: np.ndarray,
-    d: int | None = None,
-    mode: str = "full",
+    *,
     epsilon: float | None = None,
     include_local_bloch: bool = True,
 ) -> CorrelationReport:
-    """All correlation measures of a state, in the units of ``scaled_record``."""
+    """All correlation measures of a 2 x d state, in the units of ``scaled_record``."""
     rho = np.asarray(rho, dtype=complex)
-    record = bloch_decompose(rho, d)
-    scaled, units = scaled_record(record, mode, epsilon, include_local_bloch)
-    return report_from_record(scaled, record.d, rho=rho, units=units)
+    record, units = scaled_record(bloch_decompose(rho), epsilon=epsilon,
+                                  include_local_bloch=include_local_bloch)
+    return report_from_record(record, rho=rho, units=units)

@@ -423,6 +423,31 @@ def test_cli_evolve_flags_beat_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, key, file_value, text", [
+    (["--state", "b.json"], "state.file", "a.json", "b.json"),
+    (["--t-max", "2.5"], "grid.t_max", "1.0", "2.5"),
+    (["--dt", "0.02"], "grid.dt", "0.01", "0.02"),
+    (["--points", "21"], "grid.n_points", "51", "21"),
+    (["--epsilon", "2e-5"], "relaxation.epsilon", "1e-5", "2e-5"),
+    (["--include-local-bloch"], "include_local_bloch", "no", "True"),
+    (["--no-include-local-bloch"], "include_local_bloch", "yes", "False"),
+    (["--output", "b.csv"], "output", "a.csv", "b.csv"),
+    (["--format", "json"], "format", "csv", "json"),
+])
+def test_cli_evolve_every_flag_overrides_its_config_key(tmp_path, flag, key, file_value, text):
+    state = {} if key == "state.file" else {"state.c": "0.5 -0.06 0.24"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**state, key: file_value}.items()))
+
+    def resolved(*argv):
+        return cli._evolve_config(cli._build_parser().parse_args(["evolve", "--config",
+                                                                   str(cfg), *argv]))
+
+    # the flag's text replaces the file's value of its key, and nothing else
+    assert resolved(*flag) == build_config({**state, key: text})
+    assert resolved() == build_config({**state, key: file_value}) != resolved(*flag)
+
+
 def test_cli_evolve_short_grid_writes_no_file(tmp_path, capsys):
     path = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
     out = tmp_path / "traj.csv"
@@ -532,12 +557,12 @@ def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, 
             argv += ["--shots", str(shots), "--seed", "2"]
         assert main(argv) == 0
         assert len(stacked) == 1  # one measure call per protocol run
-        rho, mode, eps = cli._state_to_matrix(load_state_file(path), None)
+        rho, eps = cli._state_to_matrix(load_state_file(path), None)
         measured = run_direct_protocol(rho, shots=shots, seed=2 if shots else 0)
-        direct, units = scaled_record(measured, mode, eps)
-        tomo, _ = scaled_record(bloch_decompose(rho, 2), mode, eps)
-        assert list(stacked[0]) == [report_from_record(direct, 2, rho=rho, units=units),
-                                    report_from_record(tomo, 2, rho=rho, units=units)]
+        direct, units = scaled_record(measured, epsilon=eps)
+        tomo, _ = scaled_record(bloch_decompose(rho, 2), epsilon=eps)
+        assert list(stacked[0]) == [report_from_record(direct, rho=rho, units=units),
+                                    report_from_record(tomo, rho=rho, units=units)]
     capsys.readouterr()
 
 

@@ -136,7 +136,7 @@ def test_negativity_rejects_other_dimensions():
 
 def test_full_report_reference_states():
     state = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
-    rep = full_report(state.density_matrix(epsilon=1e-5), mode="deviation", epsilon=1e-5)
+    rep = full_report(state.density_matrix(epsilon=1e-5), epsilon=1e-5)
     assert abs(rep.d_g - 0.0306) <= 1e-12
     assert abs(rep.q_n - 0.12) <= 1e-12
     assert rep.units == "eps^2/eps^1"
@@ -173,9 +173,10 @@ def test_full_report_d3_has_no_negativity():
     assert rep.d_g >= -1e-12
 
 
-def test_full_report_needs_epsilon_in_deviation_mode():
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan])
+def test_full_report_rejects_a_non_positive_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
-        full_report(np.eye(4) / 4.0, mode="deviation")
+        full_report(np.eye(4) / 4.0, epsilon=epsilon)
 
 
 def test_is_bell_diagonal_gate():
@@ -235,7 +236,7 @@ def test_report_columns_equal_separate_formulas(seed, n, kind):
     record = BlochRecord(x=x, y=y, C=c)
     s = s_matrix(record, 2)
     d_g, theta, q = closed_form_by_parts(s)
-    report = report_from_record(record, 2)
+    report = report_from_record(record)
     for got, want in ((report.d_g, d_g), (report.theta, theta), (report.q, q),
                       (q_lower_bound(s), q), *zip(geometric_discord_closed(s), (d_g, theta))):
         assert got.tobytes() == want.tobytes()
@@ -347,7 +348,7 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         "sym3": sym3_eigenvalues(s),
         "bell": is_bell_diagonal(records),
     }
-    reports = report_from_record(records, d, rho=rhos)
+    reports = report_from_record(records, rho=rhos)
     assert len(reports) == n
     # each column holds NaN exactly where the one-state reports hold None
     for key in ("theta", "q_n", "negativity"):
@@ -371,7 +372,7 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         assert stacked["bell"][i] == is_bell_diagonal(record)
         if d == 2:
             assert stacked["negativity"][i] == negativity(rhos[i])
-        single = report_from_record(record, d, rho=rhos[i])
+        single = report_from_record(record, rho=rhos[i])
         assert reports[i] == reports[i - n] == single
         assert all(type(getattr(single, key)) is float for key in ("d_g", "q"))
 
@@ -544,6 +545,20 @@ def test_negativity_is_nan_on_infinite_entries(diagonal):
     assert np.isnan(negativity(rho))
     got = negativity(np.stack([rho, np.eye(4) / 4.0]))
     assert np.isnan(got[0]) and got[1] == 0.0
+
+
+@pytest.mark.parametrize("c", [np.diag([1.0, np.inf, 0.0]), np.diag([-np.inf, np.inf, 1.0]),
+                               np.full((3, 3), np.nan)])
+def test_report_is_nan_on_non_finite_records(c):
+    # inf * 0 in C C^T and in the Bell-diagonal gate gives NaN, the intended
+    # signal, without a warning; a finite item of the stack is untouched
+    bad = BlochRecord(x=np.zeros(3), y=np.zeros(3), C=c)
+    report = report_from_record(bad)
+    assert np.isnan(report.d_g) and np.isnan(report.q)
+    assert report.theta is None and report.q_n is None and report.negativity is None
+    finite = bell_record(0.3, -0.2, 0.1)
+    stack = BlochRecord(*(np.stack([getattr(bad, f), getattr(finite, f)]) for f in "xyC"))
+    assert list(report_from_record(stack)) == [report, report_from_record(finite)]
 
 
 def test_geometric_discord_eig_is_nan_where_the_closed_form_is():
