@@ -4,11 +4,14 @@
 Runs a fixed set of ``qcorr`` commands (measure, protocol, evolve and
 batch, in every output format) once with this checkout's ``src`` and
 once with OTHER_SRC, on the same input files in a temporary directory.
-Every file a command writes, its stdout and its exit code are compared;
-each output that differs is named and the script exits 1. Beside each
-name it prints the largest absolute difference between the numbers at
-the same token positions of the two outputs, or "structure differs"
-when the text around the numbers, or their count, is not the same.
+Every command runs as ``python -W error::RuntimeWarning -m qcorr ...``,
+so a numpy warning makes it fail. Every file a command writes, its
+stdout and its exit code are compared; each output that differs is
+named and the script exits 1, as it does when a command fails here.
+Beside each differing name it prints the largest absolute difference
+between the numbers at the same token positions of the two outputs, or
+"structure differs" when the text around the numbers, or their count,
+is not the same.
 
 Usage: python scripts/compare_outputs.py OTHER_SRC
 
@@ -28,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+#: a numpy overflow or invalid-value warning fails the command, so it shows as failed
+PYTHON_FLAGS = ("-W", "error::RuntimeWarning")
 
 #: state files written as inputs: name -> document
 STATES = {
@@ -151,8 +156,8 @@ def run_side(src: Path, inputs: Path, workdir: Path) -> dict[str, bytes]:
     workdir.mkdir()
     outputs = {}
     for label, argv in commands(inputs).items():
-        proc = subprocess.run([sys.executable, "-m", "qcorr", *argv], cwd=workdir, env=env,
-                              capture_output=True)
+        proc = subprocess.run([sys.executable, *PYTHON_FLAGS, "-m", "qcorr", *argv],
+                              cwd=workdir, env=env, capture_output=True)
         outputs[f"{label}.stdout"] = proc.stdout
         outputs[f"{label}.exit"] = str(proc.returncode).encode()
     for path in sorted(workdir.iterdir()):

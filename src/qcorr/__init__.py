@@ -17,19 +17,14 @@ from .bloch import (
     random_unitary,
 )
 from .channels import (
-    KrausSet,
     RelaxationParams,
     Trajectory,
     TransitionPoint,
-    apply_two_qubit_channel,
     detect_transition,
     evolve,
-    gad_kraus,
-    j_coupling_unitary,
     local_ptm,
     make_trajectory,
     one_sided_slopes,
-    pd_kraus,
 )
 from .eigen import hermitian_eigenvalues, sym3_eigenvalues
 from .measures import (
@@ -58,31 +53,26 @@ __all__ = [
     "BlochRecord",
     "CorrelationReport",
     "InvalidStateError",
-    "KrausSet",
     "ROTATION_TABLE",
     "RelaxationParams",
     "Trajectory",
     "TransitionPoint",
-    "apply_two_qubit_channel",
     "bloch_decompose",
     "check_density_matrix",
     "detect_transition",
     "evolve",
     "full_report",
-    "gad_kraus",
     "gellmann_basis",
     "geometric_discord_closed",
     "geometric_discord_eig",
     "hermitian_eigenvalues",
     "is_bell_diagonal",
-    "j_coupling_unitary",
     "local_ptm",
     "make_trajectory",
     "measurement_budget",
     "negativity",
     "negativity_of_quantumness_bell",
     "one_sided_slopes",
-    "pd_kraus",
     "q_lower_bound",
     "random_density_matrix",
     "random_unitary",

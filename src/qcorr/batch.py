@@ -102,10 +102,6 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
             in zip(names, violations.tolist(), worst.tolist(), tolerances.tolist())]
 
 
-def total_violations(results: list[CampaignResult]) -> int:
-    return sum(r.violations for r in results)
-
-
 def render_batch_report(results: list[CampaignResult], fmt: str = "text") -> str:
     if fmt != "text":
         return render_table({f.name: [getattr(r, f.name) for r in results]

@@ -4,10 +4,8 @@ Each qubit relaxes through generalized amplitude damping toward the
 thermal state (timescale T1), then phase damping (timescale T2), with
 p(t) = 1 - exp(-t/T1), lambda(t) = 1 - exp(-t/T2) and gamma = 1/2 - eps/2,
 eps being the thermal polarization. Evolution runs through the Pauli
-transfer matrices of these channels, stacked over the time grid; their
-operator-sum Kraus sets are the oracle the matrices are tested against.
-The scalar spin-spin coupling is a separate unitary; Bell-diagonal
-states are invariant under it.
+transfer matrices of these channels, stacked over the time grid; the
+tests check those matrices against the channels' operator-sum Kraus sets.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bloch import PAULIS, SIGMA_Z, BellDiagonalState, BlochRecord
+from .bloch import PAULIS, BellDiagonalState, BlochRecord
 from .measures import CorrelationReport, report_from_record, scaled_record
 
 COMPLETENESS_TOL = 1e-12
@@ -55,77 +53,34 @@ class RelaxationParams:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Operators of one single-qubit channel in operator-sum form."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_defect(self) -> float:
-        """max |sum_k E_k^dag E_k - I|; zero for a trace-preserving set."""
-        acc = np.zeros((2, 2), dtype=complex)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(2))))
+def completeness_defect(operators) -> float:
+    """max |sum_k E_k^dag E_k - I| of a Kraus set; zero for a trace-preserving set."""
+    acc = np.zeros((2, 2), dtype=complex)
+    for op in operators:
+        acc += op.conj().T @ op
+    return float(np.max(np.abs(acc - np.eye(2))))
 
 
-def gad_kraus(p: float, gamma: float) -> KrausSet:
-    """Generalized amplitude damping with decay probability p and bias gamma.
+def apply_two_qubit_channel(rho: np.ndarray, kraus_a, kraus_b) -> np.ndarray:
+    """Apply one channel per qubit: sum_ij (E_i (x) F_j) rho (E_i (x) F_j)^dag.
 
-    E0 = sqrt(g) diag(1, sqrt(1-p))        E1 = sqrt(g)   sqrt(p) |0><1|
-    E2 = sqrt(1-g) diag(sqrt(1-p), 1)      E3 = sqrt(1-g) sqrt(p) |1><0|
-
-    gamma = 1/2 leaves the channel unital; gamma = 1/2 - eps/2 drives the
-    qubit toward the eps-polarized thermal state.
+    kraus_a and kraus_b are sequences of 2x2 operators. The library evolves
+    through transfer matrices and never calls this; it stays because the
+    benchmark's traced run names it.
     """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    sg, sgbar = np.sqrt(gamma), np.sqrt(1.0 - gamma)
-    sp, spbar = np.sqrt(p), np.sqrt(1.0 - p)
-    return KrausSet(
-        operators=(
-            sg * np.array([[1, 0], [0, spbar]], dtype=complex),
-            sg * np.array([[0, sp], [0, 0]], dtype=complex),
-            sgbar * np.array([[spbar, 0], [0, 1]], dtype=complex),
-            sgbar * np.array([[0, 0], [sp, 0]], dtype=complex),
-        )
-    )
-
-
-def pd_kraus(lam: float) -> KrausSet:
-    """Phase damping: E4 = sqrt(1 - lam/2) I, E5 = sqrt(lam/2) sigma_z.
-
-    Scales coherences by 1 - lam and leaves populations alone.
-    """
-    if not 0 <= lam <= 1:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return KrausSet(
-        operators=(
-            np.sqrt(1.0 - lam / 2.0) * np.eye(2, dtype=complex),
-            np.sqrt(lam / 2.0) * SIGMA_Z.astype(complex),
-        )
-    )
-
-
-def apply_two_qubit_channel(
-    rho: np.ndarray, kraus_a: KrausSet, kraus_b: KrausSet
-) -> np.ndarray:
-    """Apply one channel per qubit: sum_ij (E_i (x) F_j) rho (E_i (x) F_j)^dag."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
     for name, ks in (("A", kraus_a), ("B", kraus_b)):
-        defect = ks.completeness_defect()
+        defect = completeness_defect(ks)
         if defect > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus set for qubit {name} is not trace preserving "
                 f"(completeness defect {defect:.3e})"
             )
     out = np.zeros((4, 4), dtype=complex)
-    for ea in kraus_a.operators:
-        for eb in kraus_b.operators:
+    for ea in kraus_a:
+        for eb in kraus_b:
             k = np.kron(ea, eb)
             out += k @ rho @ k.conj().T
     return (out + out.conj().T) / 2.0
@@ -180,13 +135,6 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
         raise ValueError(f"expected a two-qubit state, got shape {rho0.shape}")
     r0 = np.einsum("ijab,ba->ij", _PAULI_PRODUCTS, rho0).real
     return _states(_relax(r0, [t], params))[0]
-
-
-def j_coupling_unitary(j: float, t: float) -> np.ndarray:
-    """exp(-i 2 pi J t (sigma_z (x) sigma_z) / 4) for scalar coupling J (Hz)."""
-    phase = 2.0 * np.pi * j * t / 4.0
-    zz = np.array([1.0, -1.0, -1.0, 1.0])
-    return np.diag(np.exp(-1j * phase * zz))
 
 
 @dataclass

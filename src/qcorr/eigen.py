@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 
 
@@ -28,7 +27,7 @@ def hermitian_asymmetry(a: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
         asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
     if asymmetry > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
+        raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
     return asymmetry
 
 
@@ -51,8 +50,8 @@ def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
         asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
-    if asymmetry > SYMMETRY_TOL:
-        raise ValueError("matrix is not symmetric within 1e-12")
+    if asymmetry > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not symmetric within {HERMITICITY_TOL}")
     return _descending_spectra(m, asymmetry)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
-from .eigen import SYMMETRY_TOL, hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
+from .eigen import HERMITICITY_TOL, hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
 #: is treated as fully degenerate and the angular factor is pinned to
@@ -122,7 +122,7 @@ def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     x, c = record.x, record.C
     if x.shape[-1:] != (3,) or c.shape != x.shape[:-1] + (3, d * d - 1):
         raise ValueError(f"record shapes {x.shape}/{c.shape} do not match d={d}")
-    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, which passes on to the measures
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and NaN from inf * 0, pass on
         return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
 
 
@@ -143,8 +143,8 @@ def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which passes on to the measures
-        if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > SYMMETRY_TOL:
-            raise ValueError("S matrix is not symmetric within 1e-12")
+        if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > HERMITICITY_TOL:
+            raise ValueError(f"S matrix is not symmetric within {HERMITICITY_TOL}")
         t1 = np.trace(s, axis1=-2, axis2=-1)
         dev = s - (t1 / 3.0)[..., None, None] * _EYE3
         m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
@@ -333,16 +333,18 @@ def scaled_record(
 ) -> tuple[BlochRecord, str]:
     """Bloch data in the units the measures are reported in, and those units.
 
-    A positive epsilon (the thermal polarization) divides x, y and C, so d_g
-    and q come out in units of eps^2 and q_n in units of eps; without one
-    the data keep full units, and any other epsilon is a ValueError. With
+    A positive finite epsilon (the thermal polarization) divides x, y and
+    C, so d_g and q come out in units of eps^2 and q_n in units of eps;
+    without one the data keep full units, and any other epsilon
+    (zero, negative, infinite or NaN) is a ValueError. With
     ``include_local_bloch`` false the local Bloch vectors are zeroed,
     which evaluates the measures on the correlation part alone (the
     treatment under which Bell-diagonal dynamics stays Bell diagonal
     exactly). The arrays may carry leading stack axes.
     """
-    if epsilon is not None and not epsilon > 0:
-        raise ValueError(f"epsilon must be positive (or None for full units), got {epsilon}")
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite (or None for full units), "
+                         f"got {epsilon}")
     scale, units = (1.0, UNITS_FULL) if epsilon is None else (epsilon, UNITS_DEVIATION)
     if include_local_bloch:
         x, y = record.x / scale, record.y / scale

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from conftest import classical_quantum_state, random_bell_state
+from oracles import gad_kraus, j_coupling_unitary, pd_kraus
 from qcorr import (
     BellDiagonalState,
     BlochRecord,
@@ -15,22 +16,20 @@ from qcorr import (
     bloch_decompose,
     detect_transition,
     evolve,
-    gad_kraus,
     geometric_discord_closed,
     geometric_discord_eig,
     hermitian_eigenvalues,
-    j_coupling_unitary,
     make_trajectory,
     measurement_budget,
     negativity,
     negativity_of_quantumness_bell,
     one_sided_slopes,
-    pd_kraus,
     q_lower_bound,
     random_density_matrix,
     run_direct_protocol,
     s_matrix,
 )
+from qcorr.channels import completeness_defect
 from qcorr.cli import main
 
 RHO1 = BellDiagonalState(0.2, -0.2, 0.2, mode="deviation")
@@ -146,9 +145,9 @@ def test_criterion_6_channel_validity():
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 20):
         for gamma in np.linspace(0.0, 1.0, 20):
-            worst = max(worst, gad_kraus(p, gamma).completeness_defect())
+            worst = max(worst, completeness_defect(gad_kraus(p, gamma)))
     for lam in np.linspace(0.0, 1.0, 20):
-        worst = max(worst, pd_kraus(lam).completeness_defect())
+        worst = max(worst, completeness_defect(pd_kraus(lam)))
     assert worst <= 1e-12
 
     params = RelaxationParams()

@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bell_state
+from oracles import gad_kraus, j_coupling_unitary, pd_kraus
 from qcorr import (
     BellDiagonalState,
-    KrausSet,
     RelaxationParams,
-    apply_two_qubit_channel,
     bloch_decompose,
     check_density_matrix,
     evolve,
-    gad_kraus,
-    j_coupling_unitary,
     local_ptm,
     make_trajectory,
-    pd_kraus,
     random_density_matrix,
 )
 from qcorr.bloch import PAULIS
-from qcorr.channels import _PAULI_PRODUCTS, _relax, _states
+from qcorr.channels import (
+    _PAULI_PRODUCTS,
+    _relax,
+    _states,
+    apply_two_qubit_channel,
+    completeness_defect,
+)
 from qcorr.measures import UNITS_DEVIATION, full_report
 
 
@@ -31,7 +33,7 @@ def bell_phi_plus():
 
 
 def apply_single(rho, kraus):
-    return sum(op @ rho @ op.conj().T for op in kraus.operators)
+    return sum(op @ rho @ op.conj().T for op in kraus)
 
 
 def test_relaxation_defaults():
@@ -74,7 +76,7 @@ def test_gad_full_decay_unbiased_reaches_maximally_mixed():
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=100)
 def test_gad_completeness(p, gamma):
-    assert gad_kraus(p, gamma).completeness_defect() <= 1e-12
+    assert completeness_defect(gad_kraus(p, gamma)) <= 1e-12
 
 
 def test_gad_parameter_range():
@@ -98,7 +100,7 @@ def test_pd_coherence_scaling(lam):
     rho = random_density_matrix(2, seed=4)
     out = apply_single(rho, pd_kraus(lam))
     assert out[0, 1] == pytest.approx((1.0 - lam) * rho[0, 1], abs=1e-14)
-    assert pd_kraus(lam).completeness_defect() <= 1e-12
+    assert completeness_defect(pd_kraus(lam)) <= 1e-12
 
 
 def test_pd_parameter_range():
@@ -108,12 +110,12 @@ def test_pd_parameter_range():
 
 def test_apply_two_qubit_identity_channels():
     rho = random_density_matrix(4, seed=5)
-    ident = KrausSet(operators=(np.eye(2, dtype=complex),))
+    ident = (np.eye(2, dtype=complex),)
     assert np.max(np.abs(apply_two_qubit_channel(rho, ident, ident) - rho)) <= 1e-15
 
 
 def test_apply_two_qubit_rejects_incomplete_sets():
-    broken = KrausSet(operators=(0.5 * np.eye(2, dtype=complex),))
+    broken = (0.5 * np.eye(2, dtype=complex),)
     with pytest.raises(ValueError, match="trace preserving"):
         apply_two_qubit_channel(np.eye(4) / 4.0, broken, broken)
 

@@ -173,7 +173,7 @@ def test_full_report_d3_has_no_negativity():
     assert rep.d_g >= -1e-12
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan])
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf, -np.inf])
 def test_full_report_rejects_a_non_positive_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         full_report(np.eye(4) / 4.0, epsilon=epsilon)
