@@ -17,7 +17,10 @@ Runs ``bench/run.py`` from this checkout, unchanged:
   ``measure`` on a random 2 x 32 state drawn from STATE_2X32_SEED, the
   large-d case of the Bloch record. Beside them, ``numpy`` times
   ``python -c "import numpy"``, the floor under every command, so that CLI
-  times from different hosts can be read as time above bare numpy.
+  times from different hosts can be read as time above bare numpy. Each
+  command compiles qcorr's modules unless their bytecode is cached, so
+  ``settings`` records the PYTHONDONTWRITEBYTECODE value the commands run
+  with and whether ``src/qcorr/__pycache__`` existed before the CLI timings.
 
 BLAS is pinned to one thread everywhere, as ``bench/run.py`` pins it.
 The file also holds the ``machine`` line ``bench/run.py`` prints. The
@@ -115,6 +118,7 @@ def main() -> int:
         "batch": [*qcorr, "batch", "--n", "1000", "--seed", "1"],
         "measure_2x32": [*qcorr, "measure", "--state", "matrix_2x32.json"],
     }
+    pycache = (ROOT / "src" / "qcorr" / "__pycache__").is_dir()
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "bell.json").write_text(json.dumps(
             {"kind": "bell", "c": [0.5, -0.06, 0.24], "mode": "deviation"}))
@@ -128,7 +132,9 @@ def main() -> int:
     doc = {
         "machine": machine,
         "settings": {"quick": args.quick, "seconds": seconds, "seeds": list(seeds),
-                     "cli_repeats": repeats},
+                     "cli_repeats": repeats,
+                     "pythondontwritebytecode": ENV.get("PYTHONDONTWRITEBYTECODE"),
+                     "pycache_before_cli": pycache},
         "correct": ok,
         "end_to_end": end_to_end,
         "layers": layers,

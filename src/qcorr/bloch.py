@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import HERMITICITY_TOL, hermitian_eigenvalues
+from .eigen import hermitian_eigenvalues
 
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
@@ -152,20 +152,22 @@ def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
 
 
 def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise InvalidStateError unless rho is Hermitian, unit trace and PSD."""
+    """Raise InvalidStateError unless rho is Hermitian, unit trace and PSD, in that
+    order; one ``hermitian_eigenvalues`` call checks Hermiticity and gives the spectrum."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"state: expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("state: matrix has non-finite entries")
-    with np.errstate(over="ignore"):  # entries near the float limit: inf fails the checks
-        asymmetry = np.max(np.abs(rho - rho.conj().T))
+    try:
+        spectrum = hermitian_eigenvalues(rho)
+    except ValueError as exc:
+        raise InvalidStateError(f"state: {exc}") from exc
+    with np.errstate(over="ignore"):  # entries near the float limit: an inf trace fails
         tr = complex(np.trace(rho))
-    if asymmetry > HERMITICITY_TOL:
-        raise InvalidStateError(f"state: matrix is not Hermitian within {HERMITICITY_TOL}")
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"state: trace {tr.real!r} differs from 1 beyond {TRACE_TOL}")
-    smallest = float(hermitian_eigenvalues(rho)[-1])
+    smallest = float(spectrum[-1])
     if smallest < PSD_TOL:
         raise InvalidStateError(
             f"state: smallest eigenvalue {smallest!r} is below {PSD_TOL}",

@@ -101,15 +101,13 @@ def local_ptm(p, gamma: float, lam) -> np.ndarray:
     return ptm
 
 
-def _relax(r0: np.ndarray, times, params: RelaxationParams | None) -> np.ndarray:
+def _relax(r0: np.ndarray, times, params: RelaxationParams) -> np.ndarray:
     """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
     coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state."""
     times = np.asarray(times, dtype=float)
     bad = times[~(np.isfinite(times) & (times >= 0))]
     if bad.size:
         raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
-    if params is None:
-        params = RelaxationParams()
     gamma = 0.5 - params.epsilon / 2.0
     # one PTM build for both qubits: qubit A in row 0, qubit B in row 1
     t1, t2 = np.array([[[params.t1_a], [params.t1_b]], [[params.t2_a], [params.t2_b]]])
@@ -134,7 +132,7 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho0.shape}")
     r0 = np.einsum("ijab,ba->ij", _PAULI_PRODUCTS, rho0).real
-    return _states(_relax(r0, [t], params))[0]
+    return _states(_relax(r0, [t], RelaxationParams() if params is None else params))[0]
 
 
 @dataclass

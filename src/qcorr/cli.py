@@ -52,21 +52,20 @@ log = logging.getLogger("qcorr")
 
 
 def _state_to_matrix(state, epsilon: float | None):
-    """Full density matrix of a loaded state, and the eps of its deviation units or None."""
+    """Checked density matrix of a loaded state, and the eps of its deviation units or None."""
     if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"--epsilon must be positive and finite, got {epsilon}")
-    if not isinstance(state, BellDiagonalState):
-        return state, None
-    eps = None
-    if state.mode == "deviation":
-        eps = RelaxationParams.epsilon if epsilon is None else epsilon
-    return state.density_matrix(epsilon=eps), eps
+    rho, eps = state, None
+    if isinstance(state, BellDiagonalState):
+        if state.mode == "deviation":
+            eps = RelaxationParams.epsilon if epsilon is None else epsilon
+        rho = state.density_matrix(epsilon=eps)
+    check_density_matrix(rho)
+    return rho, eps
 
 
 def cmd_measure(args) -> int:
-    state = load_state_file(args.state)
-    rho, eps = _state_to_matrix(state, args.epsilon)
-    check_density_matrix(rho)
+    rho, eps = _state_to_matrix(load_state_file(args.state), args.epsilon)
     report = full_report(rho, epsilon=eps, include_local_bloch=args.include_local_bloch)
     if args.output:
         write_output(args.output, render_table(report.as_record(), args.format))
@@ -95,7 +94,7 @@ def cmd_evolve(args) -> int:
         bell = BellDiagonalState(*cfg.state_coeffs, mode=cfg.state_mode)
     # deviation coefficients carry no constraint of their own, but at the run's
     # epsilon they must still describe a state, as in measure and protocol
-    check_density_matrix(_state_to_matrix(bell, cfg.relaxation.epsilon)[0])
+    _state_to_matrix(bell, cfg.relaxation.epsilon)
     traj = make_trajectory(
         bell,
         cfg.relaxation,
@@ -115,9 +114,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    state = load_state_file(args.state)
-    rho, eps = _state_to_matrix(state, args.epsilon)
-    check_density_matrix(rho)
+    rho, eps = _state_to_matrix(load_state_file(args.state), args.epsilon)
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else args.seed

@@ -1,9 +1,11 @@
 """Eigenvalues of small real symmetric and complex Hermitian matrices.
 
-Both functions validate their input and hand it to LAPACK through
-``np.linalg.eigvalsh``, returning the spectrum in descending order along
-the last axis. Leading stack axes are allowed and every matrix of a
-stack is checked; a single matrix is the one-item case. A matrix with a
+``hermitian_asymmetry`` is the package's one symmetric/Hermitian check (the
+state check and the S measures call it too): a residual that overflows is
+inf and fails, and a non-finite entry otherwise leaves a NaN residual. Both
+eigenvalue functions apply it and hand their input to LAPACK's ``eigvalsh``,
+returning the spectrum in descending order along the last axis, for every
+matrix of a stack (a single matrix is the one-item case). A matrix with a
 non-finite entry gets an all-NaN spectrum while the rest of its stack is
 solved as usual (LAPACK reads one triangle only, so it would miss a NaN
 in the other, and a matrix of NaN would fail the whole stack).
@@ -21,13 +23,14 @@ HERMITICITY_TOL = 1e-12
 
 
 def hermitian_asymmetry(a: np.ndarray) -> float:
-    """max |a - a^H| over a stack of complex matrices; ValueError above
-    HERMITICITY_TOL. Otherwise NaN exactly when an entry is not finite (a
-    non-finite entry gives NaN on the diagonal, or inf or NaN off it)."""
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
+    """max |a - a^H| over a stack of matrices; ValueError above HERMITICITY_TOL (an
+    overflow is inf), naming a real a symmetric and a complex one Hermitian. Otherwise
+    NaN exactly when an entry is not finite (NaN on the diagonal, or inf or NaN off it)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails; NaN is the signal
         asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
     if asymmetry > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL}")
+        kind = "Hermitian" if np.iscomplexobj(a) else "symmetric"
+        raise ValueError(f"matrix is not {kind} within {HERMITICITY_TOL}")
     return asymmetry
 
 
@@ -48,11 +51,7 @@ def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal: the NaN is the signal
-        asymmetry = np.abs(m - np.swapaxes(m, -1, -2)).max(initial=0.0)
-    if asymmetry > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not symmetric within {HERMITICITY_TOL}")
-    return _descending_spectra(m, asymmetry)
+    return _descending_spectra(m, hermitian_asymmetry(m))
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
-from .eigen import HERMITICITY_TOL, hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
+from .eigen import hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
 #: is treated as fully degenerate and the angular factor is pinned to
@@ -142,9 +142,8 @@ def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     s = np.asarray(s_mat, dtype=float)
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which passes on to the measures
-        if np.abs(s - np.swapaxes(s, -1, -2)).max(initial=0.0) > HERMITICITY_TOL:
-            raise ValueError(f"S matrix is not symmetric within {HERMITICITY_TOL}")
+    hermitian_asymmetry(s)  # ValueError unless S is symmetric
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN pass on to the measures
         t1 = np.trace(s, axis1=-2, axis2=-1)
         dev = s - (t1 / 3.0)[..., None, None] * _EYE3
         m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
@@ -155,13 +154,14 @@ def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(d_g, theta, q) of S in one pass over its trace invariants; theta is
     NaN where the spectrum is degenerate."""
     t1, m2, dev = _trace_invariants(s_mat)
-    p = np.sqrt(m2 / 6.0)
-    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
-    unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
-    r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
-    theta = np.arccos(r)
-    d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
-    return d_g, np.where(degenerate, np.nan, theta), (4.0 / 3.0) * t1 - 4.0 * p
+    with np.errstate(over="ignore", invalid="ignore"):  # S near the float limit: inf, NaN
+        p = np.sqrt(m2 / 6.0)
+        degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
+        unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
+        r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
+        theta = np.arccos(r)
+        d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
+        return d_g, np.where(degenerate, np.nan, theta), (4.0 / 3.0) * t1 - 4.0 * p
 
 
 def geometric_discord_closed(
@@ -191,7 +191,7 @@ def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
     with a non-finite entry, as from the closed form."""
     k_max = sym3_eigenvalues(s_mat)[..., 0]  # checks the shape and symmetry of S
     s = np.asarray(s_mat, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal gives NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or NaN from inf - inf, passes on
         d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
     return float(d_g) if s.ndim == 2 else d_g
 
@@ -203,7 +203,8 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     computed as a sum of squares of the deviatoric part, hence >= 0.
     """
     t1, m2, _ = _trace_invariants(s_mat)
-    return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # S near the float limit: inf, NaN
+        return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
 
 
 def negativity_of_quantumness_bell(state) -> float | np.ndarray:

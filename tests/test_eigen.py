@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcorr import hermitian_eigenvalues, sym3_eigenvalues
+from qcorr import (
+    InvalidStateError,
+    check_density_matrix,
+    geometric_discord_closed,
+    geometric_discord_eig,
+    hermitian_eigenvalues,
+    negativity,
+    q_lower_bound,
+    sym3_eigenvalues,
+)
 
 
 def test_sym3_identity():
@@ -127,3 +136,18 @@ def test_off_diagonal_inf_fails_the_symmetry_check():
     m[0, 1] = np.inf
     with pytest.raises(ValueError, match="symmetric"):
         sym3_eigenvalues(m)
+    # finite entries of +-1e308: a - a^H overflows to inf, which fails the one
+    # check of the eigen layer without a warning, on every route through it
+    s = np.zeros((3, 3))
+    s[0, 1], s[1, 0] = 1e308, -1e308
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1], h[1, 0] = 1e308, -1e308
+    for function in (sym3_eigenvalues, geometric_discord_closed, q_lower_bound,
+                     geometric_discord_eig):
+        with pytest.raises(ValueError, match="symmetric"):
+            function(s)
+    for function in (hermitian_eigenvalues, negativity):
+        with pytest.raises(ValueError, match="Hermitian"):
+            function(h)
+    with pytest.raises(InvalidStateError, match="Hermitian"):
+        check_density_matrix(h)

@@ -540,15 +540,17 @@ def test_cli_protocol_shots_beyond_int64_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
 def test_cli_protocol_overflowing_epsilon_exit_2(tmp_path, capsys, shots):
-    # readout round-off (about 1e-17) divided by eps = 1e-200 overflows S
+    # readout round-off (about 1e-17) divided by eps = 1e-200 overflows S; at
+    # eps = 1e-110 S is finite but the squares of its entries overflow
     bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
     out = tmp_path / "protocol.json"
-    assert main(["protocol", "--state", bell, "--epsilon", "1e-200",
-                 "--output", str(out)] + shots) == 2
-    captured = capsys.readouterr()
-    assert "--epsilon" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    for epsilon in ("1e-110", "1e-200"):
+        assert main(["protocol", "--state", bell, "--epsilon", epsilon,
+                     "--output", str(out)] + shots) == 2
+        captured = capsys.readouterr()
+        assert "--epsilon" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, capsys):

@@ -571,6 +571,17 @@ def test_geometric_discord_eig_is_nan_where_the_closed_form_is():
     assert got[0] == geometric_discord_eig(0.1 * np.eye(3)) and np.isnan(got[1:]).all()
 
 
+@pytest.mark.parametrize("s, finite", [(np.diag([1.7e308, 1.7e308, 0.0]), False),
+                                       (np.diag([1.5e308, 0.0, 0.0]), False),
+                                       (np.diag([1e300, 1e300, 0.0]), False),
+                                       (np.diag([1.2e154, 0.0, 0.0]), True)])
+def test_s_measures_are_quiet_near_the_float_limit(s, finite):
+    # tr[S], tr[dev^2] or 3 tr[dev^2] overflows on a finite S: inf, or NaN from
+    # inf - inf, passes on without a warning; d_g and q stay finite while tr[dev^2] does
+    assert np.isfinite([geometric_discord_closed(s)[0], q_lower_bound(s)]).all() == finite
+    geometric_discord_eig(s)
+
+
 @pytest.mark.parametrize("s", [np.diag([1.0, np.inf, 0.0]), np.diag([-np.inf, np.inf, 1.0]),
                                np.full((3, 3), np.nan)])
 def test_s_measures_are_nan_on_non_finite_s(s):
