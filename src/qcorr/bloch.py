@@ -66,7 +66,7 @@ class BlochRecord:
 
     @property
     def d(self) -> int:
-        return int(round(np.sqrt(self.y.shape[-1] + 1)))
+        return round((self.y.shape[-1] + 1) ** 0.5)
 
 
 def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:

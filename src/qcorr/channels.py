@@ -90,8 +90,8 @@ def local_ptm(p, gamma: float, lam) -> np.ndarray:
     """Pauli transfer matrix T_kl = tr[sigma_k L(sigma_l)] / 2, (I, X, Y, Z) order,
     of GAD(p, gamma) followed by PD(lam); arrays p, lam of one shape lead the (4, 4)."""
     p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
-    for name, value in (("p", p), ("gamma", gamma), ("lambda", lam)):
-        if not np.all((value >= 0) & (value <= 1)):
+    for name, value in (("p", p), ("gamma", np.asarray(gamma)), ("lambda", lam)):
+        if not (value.min(initial=0.0) >= 0 and value.max(initial=1.0) <= 1):  # NaN fails
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     ptm = np.zeros(p.shape + (4, 4))
     ptm[..., 0, 0] = 1.0
@@ -105,15 +105,16 @@ def _relax(r0: np.ndarray, times, params: RelaxationParams) -> np.ndarray:
     """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
     coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state."""
     times = np.asarray(times, dtype=float)
-    bad = times[~(np.isfinite(times) & (times >= 0))]
-    if bad.size:
+    if not (times.min(initial=0.0) >= 0 and times.max(initial=0.0) < np.inf):  # NaN fails
+        bad = times[~(np.isfinite(times) & (times >= 0))]
         raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
     gamma = 0.5 - params.epsilon / 2.0
     # one PTM build for both qubits: qubit A in row 0, qubit B in row 1
-    t1, t2 = np.array([[[params.t1_a], [params.t1_b]], [[params.t2_a], [params.t2_b]]])
+    lifetimes = np.array([[params.t1_a], [params.t1_b], [params.t2_a], [params.t2_b]])
     with np.errstate(over="ignore"):  # t/T = inf (subnormal T) is full relaxation
-        t_a, t_b = local_ptm(-np.expm1(-times / t1), gamma, -np.expm1(-times / t2))
-    return t_a @ r0 @ np.swapaxes(t_b, -1, -2)
+        decay = -np.expm1(-times / lifetimes)  # p over T1, then lambda over T2
+    t_a, t_b = local_ptm(decay[:2], gamma, decay[2:])
+    return t_a @ r0 @ t_b.swapaxes(-1, -2)
 
 
 def _states(r: np.ndarray) -> np.ndarray:

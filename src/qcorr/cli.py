@@ -50,6 +50,12 @@ from .protocol import measurement_budget, run_direct_protocol
 
 log = logging.getLogger("qcorr")
 
+#: largest error, relative to max |c|, of the Bell coefficients that measure and protocol
+#: read back from I/4 + eps * deviation; a smaller eps is refused (exit 2). The error grows
+#: as round-off / eps: for c = (0.5, -0.06, 0.24) it is 3e-12 at eps = 1e-5 and 6e-7 at 1e-10,
+#: and eps = 3e-11 is refused.
+EPSILON_RESOLUTION_TOL = 1e-6
+
 
 def _state_to_matrix(state, epsilon: float | None):
     """Checked density matrix of a loaded state, and the eps of its deviation units or None."""
@@ -64,8 +70,25 @@ def _state_to_matrix(state, epsilon: float | None):
     return rho, eps
 
 
+def _resolved_state(path: str, epsilon: float | None):
+    """``_state_to_matrix`` of a state file, for measure and protocol: a deviation Bell
+    state whose coefficients the composed matrix no longer resolves is a ConfigError."""
+    state = load_state_file(path)
+    rho, eps = _state_to_matrix(state, epsilon)
+    if eps is not None:
+        c = state.coefficients
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf read-back fails below
+            error = np.max(np.abs(np.diagonal(bloch_decompose(rho).C) / eps - c))
+        limit = EPSILON_RESOLUTION_TOL * np.max(np.abs(c))
+        if not error <= limit:
+            raise ConfigError(f"--epsilon {eps} is too small: I/4 + eps * deviation resolves "
+                              f"the Bell coefficients {state.c1, state.c2, state.c3} only to "
+                              f"{error:.3g}, above {EPSILON_RESOLUTION_TOL} max |c| = {limit:.3g}")
+    return rho, eps
+
+
 def cmd_measure(args) -> int:
-    rho, eps = _state_to_matrix(load_state_file(args.state), args.epsilon)
+    rho, eps = _resolved_state(args.state, args.epsilon)
     report = full_report(rho, epsilon=eps, include_local_bloch=args.include_local_bloch)
     if args.output:
         write_output(args.output, render_table(report.as_record(), args.format))
@@ -114,7 +137,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    rho, eps = _state_to_matrix(load_state_file(args.state), args.epsilon)
+    rho, eps = _resolved_state(args.state, args.epsilon)
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else args.seed

@@ -22,12 +22,12 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf fails; NaN is the signal
 def hermitian_asymmetry(a: np.ndarray) -> float:
     """max |a - a^H| over a stack of matrices; ValueError above HERMITICITY_TOL (an
     overflow is inf), naming a real a symmetric and a complex one Hermitian. Otherwise
     NaN exactly when an entry is not finite (NaN on the diagonal, or inf or NaN off it)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf fails; NaN is the signal
-        asymmetry = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(initial=0.0)
+    asymmetry = np.abs(a - a.swapaxes(-1, -2).conj()).max(initial=0.0)
     if asymmetry > HERMITICITY_TOL:
         kind = "Hermitian" if np.iscomplexobj(a) else "symmetric"
         raise ValueError(f"matrix is not {kind} within {HERMITICITY_TOL}")

@@ -115,6 +115,7 @@ class CorrelationReport:
         return {name: getattr(self, name) for name in (*_MEASURES, "units")}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf, and NaN from inf * 0, pass on
 def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     """S = (x x^T + C C^T) / (2d); real symmetric PSD 3x3, one per record."""
     if d is None:
@@ -122,18 +123,18 @@ def s_matrix(record: BlochRecord, d: int | None = None) -> np.ndarray:
     x, c = record.x, record.C
     if x.shape[-1:] != (3,) or c.shape != x.shape[:-1] + (3, d * d - 1):
         raise ValueError(f"record shapes {x.shape}/{c.shape} do not match d={d}")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, and NaN from inf * 0, pass on
-        return (x[..., :, None] * x[..., None, :] + c @ np.swapaxes(c, -1, -2)) / (2.0 * d)
+    return (x[..., :, None] * x[..., None, :] + c @ c.swapaxes(-1, -2)) / (2.0 * d)
 
 
 def _det3(m: np.ndarray) -> np.ndarray:
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # entry views of a stack (axes reversed, and back by the last .T); scalars for one matrix
+    a, b, c, d, e, f, g, h, i = m.reshape(m.shape[:-2] + (9,)).T
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
 
 
 def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tr[S], tr[dev^2], dev) with dev the traceless part of S, after
-    checking that S is a (stack of) symmetric 3x3 matrix.
+    """(tr[S], tr[dev^2], dev) with dev the traceless part of S, after checking that S is
+    a (stack of) symmetric 3x3 matrix; callers' ``errstate`` passes on inf and NaN.
 
     tr[dev^2] = tr[S^2] - tr[S]^2/3 is evaluated as a sum of squares, so
     the radical 6 tr[S^2] - 2 tr[S]^2 = 6 tr[dev^2] of the closed form
@@ -143,25 +144,24 @@ def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
     hermitian_asymmetry(s)  # ValueError unless S is symmetric
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN pass on to the measures
-        t1 = np.trace(s, axis1=-2, axis2=-1)
-        dev = s - (t1 / 3.0)[..., None, None] * _EYE3
-        m2 = np.sum((dev * dev).reshape(dev.shape[:-2] + (9,)), axis=-1)
-    return t1, m2, dev
+    t1 = 0.0 + s[..., 0, 0] + s[..., 1, 1] + s[..., 2, 2]  # np.trace's sum, from +0.0
+    dev = s - (t1 / 3.0)[..., None, None] * _EYE3
+    return t1, (dev * dev).reshape(dev.shape[:-2] + (9,)).sum(axis=-1), dev
 
 
+@np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
 def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_g, theta, q) of S in one pass over its trace invariants; theta is
     NaN where the spectrum is degenerate."""
     t1, m2, dev = _trace_invariants(s_mat)
-    with np.errstate(over="ignore", invalid="ignore"):  # S near the float limit: inf, NaN
-        p = np.sqrt(m2 / 6.0)
-        degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
-        unit = dev / np.where(degenerate, 1.0, p)[..., None, None]
-        r = np.where(degenerate, 1.0, np.clip(_det3(unit) / 2.0, -1.0, 1.0))
-        theta = np.arccos(r)
-        d_g = (4.0 / 3.0) * t1 - 4.0 * p * np.cos(theta / 3.0)
-        return d_g, np.where(degenerate, np.nan, theta), (4.0 / 3.0) * t1 - 4.0 * p
+    p = np.sqrt(m2 / 6.0)
+    degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
+    # a degenerate S divides by 1 (p < 1e-7 there, and the max picks True = 1)
+    unit = dev / np.maximum(p, degenerate)[..., None, None]
+    r = np.where(degenerate, 1.0, np.minimum(np.maximum(_det3(unit) / 2.0, -1.0), 1.0))
+    theta = np.arccos(r)
+    t1, p = (4.0 / 3.0) * t1, 4.0 * p
+    return t1 - p * np.cos(theta / 3.0), np.where(degenerate, np.nan, theta), t1 - p
 
 
 def geometric_discord_closed(
@@ -202,8 +202,8 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2); the radical is
     computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    t1, m2, _ = _trace_invariants(s_mat)
     with np.errstate(over="ignore", invalid="ignore"):  # S near the float limit: inf, NaN
+        t1, m2, _ = _trace_invariants(s_mat)
         return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
 
 
@@ -254,7 +254,7 @@ def _inside_separable_ball(rho: np.ndarray) -> bool:
     if not (norm < radius).all():
         return False
     asymmetry = hermitian_asymmetry(rho)  # max |rho - rho^H| is that of rho^T_B
-    return bool(asymmetry <= 0.5 * PPT_BALL_MARGIN * np.min(radius, initial=np.inf))
+    return bool(asymmetry <= 0.5 * PPT_BALL_MARGIN * radius.min(initial=np.inf))
 
 
 def negativity(rho: np.ndarray) -> float | np.ndarray:
@@ -293,7 +293,7 @@ def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN: a non-finite diagonal stays visible
             off = record.C * (1.0 - _EYE3)
         parts = (record.x, record.y, off.reshape(lead + (9,)))
-        bell = np.max(np.abs(np.concatenate(parts, axis=-1)), axis=-1) <= BELL_DIAGONAL_TOL
+        bell = np.abs(np.concatenate(parts, axis=-1)).max(axis=-1) <= BELL_DIAGONAL_TOL
     return bool(bell) if not lead else bell
 
 
@@ -317,9 +317,8 @@ def report_from_record(
                            (record.x, record.y, record.C)))
     s = s_matrix(record)
     d_g, theta, q = _closed_form(s)
-    q_n = np.where(is_bell_diagonal(record),
-                   negativity_of_quantumness_bell(np.diagonal(record.C, axis1=-2, axis2=-1)),
-                   np.nan)
+    middle = negativity_of_quantumness_bell(record.C.diagonal(axis1=-2, axis2=-1))
+    q_n = np.where(is_bell_diagonal(record), middle, np.nan)
     two_qubits = rho is not None and rho.shape[-2:] == (4, 4)
     neg = negativity(rho.reshape(-1, 4, 4)) if two_qubits else np.full(d_g.shape, np.nan)
     report = CorrelationReport(d_g=d_g, q=q, theta=theta, q_n=q_n, negativity=neg, units=units)

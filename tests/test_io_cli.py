@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcorr import BellDiagonalState, cli, make_trajectory, random_density_matrix
+from qcorr import BellDiagonalState, cli, detect_transition, make_trajectory, random_density_matrix
 from qcorr.batch import render_batch_report, run_batch_campaigns
 from qcorr.bloch import bloch_decompose
 from qcorr.cli import main
+from qcorr import io as qio
 from qcorr.io import (
     ConfigError,
     StateFormatError,
@@ -115,6 +117,39 @@ def test_csv_float_columns_equal_cell_writer(columns, values):
     n = len(values) // columns
     table = {f"k{j}": np.array(values[j * n:(j + 1) * n]) for j in range(columns)}
     assert render_table(table, "csv") == render_csv_by_cells(table)
+
+
+def render_mixed_by_cells(table):
+    """CSV written cell by cell: a float array's NaN empty, a list's None empty, its text as
+    is and its numbers as in JSON; rows as zip counts them, up to the shortest column."""
+    def cell(v, in_array):
+        if in_array:
+            return "" if v != v else f"{v:.15g}"
+        return "" if v is None else v if isinstance(v, str) else dump_json(v)
+    cells = [[cell(v, isinstance(col, np.ndarray)) for v in
+              (col.tolist() if isinstance(col, np.ndarray) else col)] for col in table.values()]
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+
+
+_LIST_CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                        st.floats() | st.sampled_from(SPECIAL_FLOATS),
+                        st.sampled_from(["nan", "inf", "%s", "100%", "a,nan", "", "eps^0"]))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 6)), min_size=1, max_size=5),
+       st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=30, max_size=30),
+       st.lists(_LIST_CELLS, min_size=30, max_size=30))
+@example(kinds=[(True, 3), (False, 3)], numbers=SPECIAL_FLOATS * 3, cells=["nan"] * 30)
+def test_csv_mixed_tables_equal_cell_writer(kinds, numbers, cells):
+    # float arrays and lists in one table, of equal or unequal lengths: NaN, -0.0, inf
+    # and 5e-324 in both, and list text that holds "nan" or "%" kept as is
+    table = {}
+    for j, (is_array, n) in enumerate(kinds):
+        start = 5 * j
+        table[f"k{j}"] = (np.array(numbers[start:start + n]) if is_array
+                          else cells[start:start + n])
+    assert render_table(table, "csv") == render_mixed_by_cells(table)
 
 
 def _csv_matches(text, records):
@@ -734,3 +769,69 @@ def test_cli_fuzz_evolve(tmp_path_factory, lines, flags, inline_state):
         assert "nan" not in printed and "inf" not in printed, printed
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "protocol"])
+@pytest.mark.parametrize("epsilon", ["1e-12", "1e-14", "1e-200"])
+def test_cli_refuses_an_epsilon_the_state_cannot_resolve(tmp_path, capsys, command, epsilon):
+    # I/4 + eps * deviation rounds the Bell coefficients away: at eps = 1e-12 they come
+    # back 3e-5 off, and at 1e-200 as 0, so d_g would be printed wrong with exit 0
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+    out = tmp_path / "out.json"
+    assert main([command, "--state", bell, "--epsilon", epsilon, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert f"--epsilon {float(epsilon)} is too small" in captured.err
+
+
+@pytest.mark.parametrize("command", ["measure", "protocol"])
+def test_cli_keeps_an_epsilon_the_state_resolves(tmp_path, capsys, command):
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+    for epsilon in ("1e-4", "1e-5", "1e-9"):  # read-back errors 5e-13, 3e-12, 4e-8 of max |c|
+        assert main([command, "--state", bell, "--epsilon", epsilon]) == 0
+        assert "d_g = 0.0306" in capsys.readouterr().out
+    zero = write_bell_file(tmp_path / "z.json", [0.0, 0.0, 0.0])  # I/4 holds exact zeros
+    assert main([command, "--state", zero, "--epsilon", "1e-12"]) == 0
+    capsys.readouterr()
+
+
+def test_evolve_points_cap_follows_the_memory_estimate():
+    # build_config only: no grid is allocated, here or in a build without the cap
+    cap, per_point = qio.MAX_POINTS, qio.EVOLVE_BYTES_PER_POINT
+    assert cap * per_point <= qio.EVOLVE_MEMORY_BUDGET < (cap + 1) * per_point
+    raw = {"state.c": "0.5 -0.06 0.24"}
+    assert build_config({**raw, "grid.n_points": str(cap)}).n_points == cap
+    with pytest.raises(ConfigError, match=f"grid.n_points {cap + 1} is above the cap"):
+        build_config({**raw, "grid.n_points": str(cap + 1)})
+
+
+@pytest.mark.parametrize("points", ["11", "1e12", "1e300"])
+def test_cli_evolve_refuses_points_above_the_cap(tmp_path, capsys, monkeypatch, points):
+    # a cap of 10 points: the refusal is seen without a large grid, and a build
+    # without the cap fails at the setattr instead of allocating
+    monkeypatch.setattr(qio, "MAX_POINTS", 10)
+    out = tmp_path / "traj.csv"
+    argv = ["evolve", "--state", write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24]),
+            "--points", points, "--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "grid.n_points" in captured.err and "above the cap of 10 points" in captured.err
+    assert captured.out == "" and not out.exists()
+    assert main(argv[:3] + ["--points", "10", "--output", str(out)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_memory_per_point_within_the_estimate(fmt):
+    # traced peak of one small evolve run (about 3 MB), against the per-point estimate
+    n = 2000
+    state = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
+    tracemalloc.start()
+    try:
+        traj = make_trajectory(state, n_points=n, include_local_bloch=True)
+        detect_transition(traj)
+        serialize_trajectory(traj, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * qio.EVOLVE_BYTES_PER_POINT
