@@ -13,14 +13,18 @@ index is walked in chunks of c samples, with c = CHUNK_ENTRIES // max over
 d of (rows_d 4 d^2), at least 1, where rows_d counts the campaigns on 2 x d
 states. Within a chunk the campaigns that share a d are one padded block:
 one sampler call, one ``bloch_decompose`` and one ``s_matrix``, with the
-two-qubit campaigns as a view of the d = 2 block. Each measure then runs
-once over the chunk's (campaign, c) stack of S matrices; it works item by
-item, so every value is the one a call per campaign gives, bit for bit. One
-pass over a (check, c) table scores every campaign, and violations and the
-worst value accumulate across chunks. Each campaign's generator carries
-its stream from chunk to chunk, so the chunk size never shows in a report,
-and memory stays flat in n: no block holds more than CHUNK_ENTRIES complex
-entries unless the rows of one sample alone do (then c = 1).
+two-qubit campaigns as a view of the d = 2 block. One closed-form pass
+over the chunk's (campaign, c) stack of S matrices gives D_G and Q, the
+eigenvalue route runs once over the 2 x d rows, and the two-qubit states
+go straight to the spectral route of the negativity: the pure ones lie
+outside the separable ball, so its purity test could never pass. Each
+works item by item, so every value is the one a call per campaign gives,
+bit for bit. One pass over a (check, c) table scores every campaign, and
+violations and the worst value accumulate across chunks. Each campaign's
+generator carries its stream from chunk to chunk, so the chunk size never
+shows in a report, and memory stays flat in n: no block holds more than
+CHUNK_ENTRIES complex entries unless the rows of one sample alone do
+(then c = 1).
 """
 from __future__ import annotations
 
@@ -30,8 +34,7 @@ import numpy as np
 
 from .bloch import bloch_decompose, random_density_matrix
 from .io import format_float, render_table
-from .measures import geometric_discord_closed, geometric_discord_eig, negativity, \
-    q_lower_bound, s_matrix
+from .measures import _closed_form, _spectral_negativity, geometric_discord_eig, s_matrix
 
 CLOSED_VS_EIG_TOL = 1e-9
 ORDER_TOL = 1e-10
@@ -66,31 +69,35 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
     # rows: each 2 x d pair, then mixed and pure two qubits; ranks cycle 1..max_rank
     max_ranks = np.array([2 * d for d in dims] + [4, 1])
     # one block per dimension, its rows ascending, so the two-qubit rows close the d = 2 block
-    blocks = {}
+    rows_of = {}
     for row, d in enumerate(dims + (2, 2)):
-        blocks.setdefault(d, []).append(row)
-    chunk = max(1, CHUNK_ENTRIES // max(len(rows) * 4 * d * d for d, rows in blocks.items()))
+        rows_of.setdefault(d, []).append(row)
+    chunk = max(1, CHUNK_ENTRIES // max(len(rows) * 4 * d * d for d, rows in rows_of.items()))
+    # per block, fixed across chunks: its rows, their (rows, 1) rank cycles, their generators
+    blocks = [(d, rows, max_ranks[rows, None], [rngs[row] for row in rows])
+              for d, rows in rows_of.items()]
     tolerances = np.array([CLOSED_VS_EIG_TOL, ORDER_TOL] * k + [MIXED_BOUND_TOL,
                                                                  PURE_IDENTITY_TOL])
     violations, worst = np.zeros(2 * k + 2, dtype=int), np.full(2 * k + 2, -np.inf)
     for start in range(0, n, chunk):
         index = np.arange(start, min(start + chunk, n))
         s = np.empty((k + 2, index.size, 3, 3))
-        for d, rows in blocks.items():
-            rhos = random_density_matrix(2 * d, rank=1 + index % max_ranks[rows, None],
-                                         seed=[rngs[row] for row in rows])
+        for d, rows, ranks, gens in blocks:
+            rhos = random_density_matrix(2 * d, rank=1 + index % ranks, seed=gens)
             s[rows] = s_matrix(bloch_decompose(rhos, d), d)
             if d == 2:
                 two_qubit = rhos[-2:]
-        closed = geometric_discord_closed(s)[0]
+        closed, _, q = _closed_form(s)
+        # the pure rows lie outside the separable ball, so the purity test of
+        # negativity() always fails on this stack and its spectral route runs;
         # float_power is C pow, as is ** on the float negativity() returns for one
         # state, so N^2 matches the single-state value bit for bit; array ** 2
         # squares instead and differs by an ulp on about 0.1 % of inputs
-        nsq = np.float_power(negativity(two_qubit), 2)
+        nsq = np.float_power(_spectral_negativity(two_qubit), 2)
         # rows: each 2 x d pair's closed_vs_eig and order_q_le_dg, then mixed and pure
         table = np.empty((2 * k + 2, index.size))
         table[0:2 * k:2] = np.abs(closed[:k] - geometric_discord_eig(s[:k]))
-        table[1:2 * k:2] = q_lower_bound(s[:k]) - closed[:k]
+        table[1:2 * k:2] = q[:k] - closed[:k]
         table[-2] = nsq[0] - closed[k]
         table[-1] = np.abs(closed[k + 1] - nsq[1])
         count, top = _score(table, tolerances)

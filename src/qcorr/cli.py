@@ -87,6 +87,13 @@ def _resolved_state(path: str, epsilon: float | None):
     return rho, eps
 
 
+def _seed(seed: int) -> int:
+    """--seed as given; SeedSequence takes no negative seed, so that is a ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def cmd_measure(args) -> int:
     rho, eps = _resolved_state(args.state, args.epsilon)
     report = full_report(rho, epsilon=eps, include_local_bloch=args.include_local_bloch)
@@ -140,7 +147,7 @@ def cmd_protocol(args) -> int:
     rho, eps = _resolved_state(args.state, args.epsilon)
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
-    seed = 0 if args.seed is None else args.seed
+    seed = 0 if args.seed is None else _seed(args.seed)
     direct = run_direct_protocol(rho, shots=args.shots, seed=seed)
     tomo = bloch_decompose(rho, 2)
 
@@ -196,10 +203,13 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    dims = tuple(int(part) for part in args.dims.split(",") if part)
+    try:
+        dims = tuple(int(part) for part in args.dims.split(",") if part)
+    except ValueError:  # a part that is not an integer
+        dims = ()
     if not dims or any(d < 2 for d in dims):
         raise ConfigError(f"--dims must list dimensions >= 2, got {args.dims!r}")
-    results = batch_mod.run_batch_campaigns(args.n, args.seed, dims)
+    results = batch_mod.run_batch_campaigns(args.n, _seed(args.seed), dims)
     if args.output:
         write_output(args.output, batch_mod.render_batch_report(results, args.format))
         log.info("wrote batch report to %s", args.output)

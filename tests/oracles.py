@@ -4,13 +4,15 @@ The library evolves relaxation through Pauli transfer matrices; the
 operator-sum Kraus sets here are the independent model those matrices
 are checked against. A Kraus set is a tuple of 2x2 operators. The scalar
 spin-spin coupling is a separate unitary; Bell-diagonal states are
-invariant under it. The second half keeps the report kernel and the PTM
-build in their first form, the byte-level reference of the library's.
+invariant under it. The second half keeps the report kernel, the batch
+campaigns and the PTM build in their first form, the byte-level
+reference of the library's.
 """
 import numpy as np
 
-from qcorr.bloch import PAULIS, SIGMA_Z
-from qcorr.eigen import hermitian_asymmetry, hermitian_eigenvalues
+from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL
+from qcorr.bloch import PAULIS, SIGMA_Z, bloch_decompose, random_density_matrix
+from qcorr.eigen import hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 
 def gad_kraus(p: float, gamma: float) -> tuple[np.ndarray, ...]:
@@ -57,7 +59,7 @@ def j_coupling_unitary(j: float, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The report kernel and the PTM build as first written, arithmetic verbatim.
+# The report kernel, the campaigns and the PTM build as first written, arithmetic verbatim.
 # The library computes the same floating-point operations in the same order
 # with fewer numpy calls; test_bit_identity.py holds it to these bytes.
 
@@ -102,6 +104,22 @@ def closed_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return d_g, np.where(degenerate, np.nan, theta), (4.0 / 3.0) * t1 - 4.0 * p
 
 
+def q_lower_bound(s: np.ndarray) -> np.ndarray:
+    """Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2) in its own pass over the
+    trace invariants, as the batch campaigns first took it."""
+    t1, m2, _ = trace_invariants(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
+
+
+def geometric_discord_eig(s: np.ndarray):
+    """2 (tr[S] - k_max) with the trace from np.trace; a float for one S."""
+    k_max = sym3_eigenvalues(s)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_g = 2.0 * (np.trace(s, axis1=-2, axis2=-1) - k_max)
+    return float(d_g) if s.ndim == 2 else d_g
+
+
 def is_bell_diagonal(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Bell-diagonal verdicts of a (n,)-stack of two-qubit records."""
     with np.errstate(invalid="ignore"):
@@ -130,6 +148,43 @@ def negativity(rho: np.ndarray) -> np.ndarray:
     eigs = hermitian_eigenvalues(
         np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -3, -1).reshape(lead + (4, 4)))
     return 2.0 * np.sum(np.where(eigs >= 0.0, 0.0, np.abs(eigs)), axis=-1)
+
+
+def campaigns(n: int, seed: int, dims) -> list[tuple]:
+    """(name, samples, violations, worst.hex(), tolerance) of each batch campaign,
+    rebuilt from one-state draws and the measures above, one state at a time."""
+    children = iter(np.random.SeedSequence(seed).spawn(len(dims) + 2))
+
+    def draw(d, max_rank):
+        rng = np.random.default_rng(next(children))
+        samples = []
+        for i in range(n):
+            rho = random_density_matrix(2 * d, rank=1 + i % max_rank, seed=rng)
+            record = bloch_decompose(rho, d)
+            samples.append((rho, s_matrix(record.x, record.C, d)))
+        return samples
+
+    def campaign(name, values, tol):
+        return name, n, sum(not v <= tol for v in values), float(np.max(values)).hex(), tol
+
+    results = []
+    for d in dims:
+        samples = draw(d, 2 * d)
+        closed = [closed_form(s)[0] for _, s in samples]
+        results.append(campaign(f"closed_vs_eig[d={d}]",
+                                [abs(c - geometric_discord_eig(s))
+                                 for c, (_, s) in zip(closed, samples)], CLOSED_VS_EIG_TOL))
+        results.append(campaign(f"order_q_le_dg[d={d}]",
+                                [q_lower_bound(s) - c for c, (_, s) in zip(closed, samples)],
+                                ORDER_TOL))
+    # float(...) ** 2 is C pow, the power the single-state negativity's float takes
+    mixed = [(float(negativity(rho)) ** 2, closed_form(s)[0]) for rho, s in draw(2, 4)]
+    results.append(campaign("mixed_dg_ge_nsq", [nsq - dg for nsq, dg in mixed],
+                            MIXED_BOUND_TOL))
+    pure = [(float(negativity(rho)) ** 2, closed_form(s)[0]) for rho, s in draw(2, 1)]
+    results.append(campaign("pure_dg_eq_nsq", [abs(dg - nsq) for nsq, dg in pure],
+                            PURE_IDENTITY_TOL))
+    return results
 
 
 def local_ptm(p, gamma: float, lam) -> np.ndarray:

@@ -72,8 +72,9 @@ def test_campaigns_at_large_d(seed):
 
 @pytest.mark.parametrize("dims", [(), (3,), (2, 3, 4), (5, 2, 2, 8)])
 def test_each_measure_runs_once_per_call(monkeypatch, dims):
-    calls = dict.fromkeys(("geometric_discord_closed", "geometric_discord_eig",
-                           "q_lower_bound", "negativity"), 0)
+    # one closed-form pass gives D_G and Q, and the two-qubit stack, which holds pure
+    # states, goes straight to the spectral negativity
+    calls = dict.fromkeys(("_closed_form", "geometric_discord_eig", "_spectral_negativity"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):

@@ -1,8 +1,9 @@
 """The report kernel and the PTM build keep the bytes of their first form.
 
 ``tests/oracles.py`` holds the arithmetic of S, the trace invariants, the
-closed form, the Bell gate, q_n, the negativity's purity test, the local
-PTM and the relaxation as first written. The library computes the same
+closed form, Q, the eigenvalue route, the Bell gate, q_n, the negativity
+(purity test, then spectrum), the batch campaigns, the local PTM and the
+relaxation as first written. The library computes the same
 floating-point operations in the same order with fewer numpy calls; these
 tests compare every column with ``.tobytes()``, so a reordered product or
 a lost -0.0 shows, as does a NaN where a number was (or the reverse).
@@ -24,9 +25,14 @@ from qcorr import (
     random_density_matrix,
 )
 from qcorr.channels import _relax, local_ptm
+import qcorr.batch
+from qcorr.batch import run_batch_campaigns
 from qcorr.measures import (
     _closed_form,
+    _inside_separable_ball,
+    _spectral_negativity,
     geometric_discord_closed,
+    geometric_discord_eig,
     q_lower_bound,
     report_from_record,
     s_matrix,
@@ -124,6 +130,67 @@ def test_closed_form_keeps_its_bytes(seed, n, kind):
         t1, m2, _ = oracles.trace_invariants(sub)
         with np.errstate(over="ignore", invalid="ignore"):
             assert same_bits(q_lower_bound(sub), (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 9),
+       st.sampled_from(["random", "degenerate", "special"]))
+@example(seed=0, n=0, kind="random")
+@example(seed=4, n=9, kind="special")
+@settings(max_examples=200)
+def test_q_and_eigenvalue_route_keep_their_bytes(seed, n, kind):
+    # the campaigns take Q from the closed-form pass, and the eigenvalue route sums
+    # the trace from diagonal views: both are the bytes of their first form
+    s = random_symmetric(np.random.default_rng(seed), n, kind)
+    for sub in (s, s.reshape((1,) + s.shape), *s[:3]):  # a stack, two axes, single S
+        assert same_bits(_closed_form(sub)[2], oracles.q_lower_bound(sub))
+        assert same_bits(geometric_discord_eig(sub), oracles.geometric_discord_eig(sub))
+
+
+def rejected_two_qubit_stack(rng, n, kind):
+    """(n, 4, 4) states the purity test rejects: the first is pure; "ball" puts the
+    others near I/4, "special" writes special entries into Hermitian pairs."""
+    rho = random_density_matrix(4, np.r_[1, rng.integers(1, 5, n - 1)], seed=rng)
+    if kind == "ball":
+        rho[1:] = np.eye(4) / 4.0 + 1e-3 * (rho[1:] - np.eye(4) / 4.0)
+    elif kind == "special":
+        items, rows, cols = rng.integers(0, n, 4), rng.integers(0, 4, 4), rng.integers(0, 4, 4)
+        values = rng.choice(SPECIAL, 4)
+        rho[items, rows, cols] = values
+        rho[items, cols, rows] = values
+    return rho
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.sampled_from(["random", "ball", "special"]))
+@example(seed=0, n=1, kind="random")
+@example(seed=5, n=12, kind="special")
+@settings(max_examples=200)
+def test_spectral_negativity_keeps_its_bytes(seed, n, kind):
+    # on a stack the purity test rejects, negativity() is its spectral route
+    rho = rejected_two_qubit_stack(np.random.default_rng(seed), n, kind)
+    assert not _inside_separable_ball(rho)
+    want = oracles.negativity(rho)
+    assert same_bits(_spectral_negativity(rho), want)
+    assert same_bits(_spectral_negativity(rho.reshape(1, n, 4, 4)), want.reshape(1, n))
+
+
+def test_spectral_negativity_keeps_a_nan_item():
+    rho = rejected_two_qubit_stack(np.random.default_rng(7), 3, "random")
+    rho[1, 2, 2] = np.nan
+    got = _spectral_negativity(rho)
+    assert np.isnan(got[1]) and np.isfinite(got[[0, 2]]).all()
+    assert same_bits(got, oracles.negativity(rho))
+
+
+@pytest.mark.parametrize("dims", [(), (2, 2), (5, 2, 2, 8)])
+@pytest.mark.parametrize("entries", [1, 700, qcorr.batch.CHUNK_ENTRIES])
+def test_campaign_reports_keep_their_bytes(monkeypatch, dims, entries):
+    # a report is the one-state oracle's, worst to the last bit, whatever the chunk seams
+    monkeypatch.setattr(qcorr.batch, "CHUNK_ENTRIES", entries)
+    for n, seed in ((1, 0), (13, 21)):
+        got = [(r.name, r.samples, r.violations, r.worst.hex(), r.tolerance)
+               for r in run_batch_campaigns(n, seed, dims)]
+        assert got == oracles.campaigns(n, seed, dims), (n, seed)
 
 
 @pytest.mark.parametrize("s", [np.zeros((3, 3)), np.full((3, 3), -0.0), np.eye(3) / 3.0,

@@ -642,6 +642,25 @@ def test_cli_batch_rejects_bad_dims(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dims", ["2,abc", "2.5", "3,,x"])
+def test_cli_batch_names_dims_when_a_part_is_no_integer(dims, capsys):
+    assert main(["batch", "--n", "2", "--dims", dims]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --dims must list dimensions >= 2, got {dims!r}\n"
+    assert captured.out == ""
+
+
+def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
+    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
+    for argv, seed in ((["batch", "--n", "3", "--seed", "-1"], -1),
+                       (["protocol", "--state", bell, "--shots", "10", "--seed", "-4"], -4),
+                       (["protocol", "--state", bell, "--seed", "-4"], -4)):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
+        assert captured.out == "", argv
+
+
 def test_log_env_var_does_not_change_output(tmp_path, monkeypatch, capsys):
     path = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
