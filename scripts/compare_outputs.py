@@ -123,6 +123,12 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     cmds["protocol_bell_deviation_eps_shots"] = ["protocol", "--state", bell, "--epsilon", "1e-4",
                                                  "--shots", "4000", "--seed", "5", "--output",
                                                  "protocol_bell_deviation_eps_shots.json"]
+    # eps far below the round-off of I/4: the measures are read off the deviation
+    for eps in ("1e-12", "1e-200"):
+        for command, ext in (("measure", "csv"), ("protocol", "json")):
+            label = f"{command}_bell_deviation_eps{eps}"
+            cmds[label] = [command, "--state", bell, "--epsilon", eps,
+                           "--output", f"{label}.{ext}"]
     config = str(inputs / "evolve.cfg")
     cmds["evolve_config_flags"] = ["evolve", "--config", config, "--epsilon", "2e-5",
                                    "--t-max", "0.3", "--points", "40", "--no-include-local-bloch",

@@ -7,8 +7,9 @@ Subcommands::
     qcorr protocol  direct local-measurement run vs. full decomposition
     qcorr batch     seeded cross-check campaigns over random states
 
-A deviation-mode Bell state is reported in units of its eps (``--epsilon``,
-by default 1e-5): d_g and q in eps^2, q_n in eps. Each evolve flag stores
+A deviation-mode Bell state I/4 + eps * deviation is reported in units of
+its eps (``--epsilon``, by default 1e-5, in (0, 1] as for evolve), read off
+the deviation: d_g and q in eps^2, q_n in eps. Each evolve flag stores
 its text under the config key it overrides (its argparse ``dest``).
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid state,
@@ -45,46 +46,40 @@ from .io import (
     serialize_trajectory,
     write_output,
 )
-from .measures import full_report, report_from_record, scaled_record
+from .measures import UNITS_DEVIATION, UNITS_FULL, full_report, report_from_record, \
+    scaled_record
 from .protocol import measurement_budget, run_direct_protocol
 
 log = logging.getLogger("qcorr")
 
-#: largest error, relative to max |c|, of the Bell coefficients that measure and protocol
-#: read back from I/4 + eps * deviation; a smaller eps is refused (exit 2). The error grows
-#: as round-off / eps: for c = (0.5, -0.06, 0.24) it is 3e-12 at eps = 1e-5 and 6e-7 at 1e-10,
-#: and eps = 3e-11 is refused.
-EPSILON_RESOLUTION_TOL = 1e-6
 
-
-def _state_to_matrix(state, epsilon: float | None):
-    """Checked density matrix of a loaded state, and the eps of its deviation units or None."""
-    if epsilon is not None and not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"--epsilon must be positive and finite, got {epsilon}")
-    rho, eps = state, None
-    if isinstance(state, BellDiagonalState):
-        if state.mode == "deviation":
-            eps = RelaxationParams.epsilon if epsilon is None else epsilon
-        rho = state.density_matrix(epsilon=eps)
-    check_density_matrix(rho)
-    return rho, eps
-
-
-def _resolved_state(path: str, epsilon: float | None):
-    """``_state_to_matrix`` of a state file, for measure and protocol: a deviation Bell
-    state whose coefficients the composed matrix no longer resolves is a ConfigError."""
+def _load_state(path: str, epsilon: float | None):
+    """(rho, deviation, eps) of a state file: its checked density matrix and, for a
+    deviation-mode Bell state, the deviation its measures are read from in units of eps
+    (--epsilon under RelaxationParams' rule, or the default); None, None otherwise."""
     state = load_state_file(path)
-    rho, eps = _state_to_matrix(state, epsilon)
-    if eps is not None:
-        c = state.coefficients
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf read-back fails below
-            error = np.max(np.abs(np.diagonal(bloch_decompose(rho).C) / eps - c))
-        limit = EPSILON_RESOLUTION_TOL * np.max(np.abs(c))
-        if not error <= limit:
-            raise ConfigError(f"--epsilon {eps} is too small: I/4 + eps * deviation resolves "
-                              f"the Bell coefficients {state.c1, state.c2, state.c3} only to "
-                              f"{error:.3g}, above {EPSILON_RESOLUTION_TOL} max |c| = {limit:.3g}")
-    return rho, eps
+    if epsilon is None:
+        epsilon = RelaxationParams.epsilon
+    else:
+        try:
+            RelaxationParams(epsilon=epsilon)
+        except ValueError as exc:  # its message starts with the field name
+            raise ConfigError(f"--{exc}") from None
+    rho = state.density_matrix(epsilon) if isinstance(state, BellDiagonalState) else state
+    check_density_matrix(rho)
+    if isinstance(state, BellDiagonalState) and state.mode == "deviation":
+        return rho, state.deviation_matrix(), epsilon
+    return rho, None, None
+
+
+def _require_finite(reports):
+    """ConfigError unless d_g and q are finite. S squares the Bloch data, so deviation
+    coefficients above about 1e154, or shot readouts divided by a tiny eps, overflow it;
+    a matrix or full-mode state has Bloch data of order 1."""
+    if not (np.isfinite(reports.d_g).all() and np.isfinite(reports.q).all()):
+        raise ConfigError("the Bloch data are too large (deviation coefficients, or shot "
+                          "readouts divided by --epsilon): S overflows, and d_g or q is "
+                          "not finite")
 
 
 def _seed(seed: int) -> int:
@@ -95,8 +90,9 @@ def _seed(seed: int) -> int:
 
 
 def cmd_measure(args) -> int:
-    rho, eps = _resolved_state(args.state, args.epsilon)
-    report = full_report(rho, epsilon=eps, include_local_bloch=args.include_local_bloch)
+    rho, deviation, _ = _load_state(args.state, args.epsilon)
+    report = full_report(rho, deviation=deviation, include_local_bloch=args.include_local_bloch)
+    _require_finite(report)
     if args.output:
         write_output(args.output, render_table(report.as_record(), args.format))
         log.info("wrote report to %s", args.output)
@@ -124,7 +120,7 @@ def cmd_evolve(args) -> int:
         bell = BellDiagonalState(*cfg.state_coeffs, mode=cfg.state_mode)
     # deviation coefficients carry no constraint of their own, but at the run's
     # epsilon they must still describe a state, as in measure and protocol
-    _state_to_matrix(bell, cfg.relaxation.epsilon)
+    check_density_matrix(bell.density_matrix(cfg.relaxation.epsilon))
     traj = make_trajectory(
         bell,
         cfg.relaxation,
@@ -144,24 +140,26 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    rho, eps = _resolved_state(args.state, args.epsilon)
+    rho, deviation, eps = _load_state(args.state, args.epsilon)
     if args.shots is not None and args.seed is None:
         raise ConfigError("a seed is mandatory whenever shots is set")
     seed = 0 if args.seed is None else _seed(args.seed)
-    direct = run_direct_protocol(rho, shots=args.shots, seed=seed)
-    tomo = bloch_decompose(rho, 2)
+    # readouts and decomposition are linear and vanish on I/4, so a deviation state's
+    # are read off its deviation, in eps units; shots sample the physical state
+    source = rho if deviation is None else deviation
+    exact = direct = run_direct_protocol(source)
+    if args.shots is not None:
+        direct, _ = scaled_record(run_direct_protocol(rho, shots=args.shots, seed=seed),
+                                  epsilon=eps)
+    tomo = bloch_decompose(source, 2)
 
     # the direct and tomography records go through the measures as one stack
-    both, units = scaled_record(BlochRecord(x=np.stack([direct.x, tomo.x]),
-                                            y=np.stack([direct.y, tomo.y]),
-                                            C=np.stack([direct.C, tomo.C])), epsilon=eps)
+    both = BlochRecord(x=np.stack([direct.x, tomo.x]), y=np.stack([direct.y, tomo.y]),
+                       C=np.stack([direct.C, tomo.C]))
+    units = UNITS_FULL if deviation is None else UNITS_DEVIATION
     reports = report_from_record(both, rho=np.stack([rho, rho]), units=units)
+    _require_finite(reports)  # with finite d_g and q, S and every estimate are finite
     direct_report, tomo_report = reports
-    # round-off in the readouts divided by a tiny eps overflows S; finite d_g and q
-    # imply a finite S, and with it finite estimates and error rows
-    if not (np.isfinite(reports.d_g).all() and np.isfinite(reports.q).all()):
-        raise ConfigError(f"--epsilon {eps} is too small: the scaled readouts overflow "
-                          "and d_g or q is not finite")
     # q_n counts only where both runs define it (NaN otherwise)
     max_diff = float(np.nanmax([abs(col[0] - col[1])
                                 for col in (reports.d_g, reports.q, reports.q_n)]))
@@ -184,17 +182,14 @@ def cmd_protocol(args) -> int:
         "max_measure_difference": max_diff,
     }
     if args.shots is not None:
-        exact = run_direct_protocol(rho)
-        diff = BlochRecord(x=np.abs(direct.x - exact.x), y=np.zeros(3),
-                           C=np.abs(direct.C - exact.C))
-        err, _ = scaled_record(diff, epsilon=eps)
+        x_err, c_err = np.abs(direct.x - exact.x), np.abs(direct.C - exact.C)
         lines.append("statistical error (x readouts): "
-                     + " ".join(format_float(v) for v in err.x))
-        for i, row in enumerate(err.C, start=1):
+                     + " ".join(format_float(v) for v in x_err))
+        for i, row in enumerate(c_err, start=1):
             lines.append(f"statistical error (c row {i}): "
                          + " ".join(format_float(v) for v in row))
-        doc["x_error"] = err.x
-        doc["c_error"] = err.C
+        doc["x_error"] = x_err
+        doc["c_error"] = c_err
     if args.output:
         write_output(args.output, render_table(doc, "json"))
         log.info("wrote protocol report to %s", args.output)
@@ -209,6 +204,8 @@ def cmd_batch(args) -> int:
         dims = ()
     if not dims or any(d < 2 for d in dims):
         raise ConfigError(f"--dims must list dimensions >= 2, got {args.dims!r}")
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     results = batch_mod.run_batch_campaigns(args.n, _seed(args.seed), dims)
     if args.output:
         write_output(args.output, batch_mod.render_batch_report(results, args.format))

@@ -132,28 +132,18 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
 
 
-def _trace_invariants(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tr[S], tr[dev^2], dev) with dev the traceless part of S, after checking that S is
-    a (stack of) symmetric 3x3 matrix; callers' ``errstate`` passes on inf and NaN.
-
-    tr[dev^2] = tr[S^2] - tr[S]^2/3 is evaluated as a sum of squares, so
-    the radical 6 tr[S^2] - 2 tr[S]^2 = 6 tr[dev^2] of the closed form
-    can never go negative through rounding.
-    """
+@np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
+def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_g, theta, q) of a (stack of) symmetric 3x3 S in one pass over its trace
+    invariants; theta is NaN where the spectrum is degenerate. tr[dev^2] = tr[S^2] -
+    tr[S]^2/3 is a sum of squares, so the radical 6 tr[dev^2] never goes negative."""
     s = np.asarray(s_mat, dtype=float)
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
     hermitian_asymmetry(s)  # ValueError unless S is symmetric
     t1 = 0.0 + s[..., 0, 0] + s[..., 1, 1] + s[..., 2, 2]  # np.trace's sum, from +0.0
     dev = s - (t1 / 3.0)[..., None, None] * _EYE3
-    return t1, (dev * dev).reshape(dev.shape[:-2] + (9,)).sum(axis=-1), dev
-
-
-@np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
-def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_g, theta, q) of S in one pass over its trace invariants; theta is
-    NaN where the spectrum is degenerate."""
-    t1, m2, dev = _trace_invariants(s_mat)
+    m2 = (dev * dev).reshape(dev.shape[:-2] + (9,)).sum(axis=-1)
     p = np.sqrt(m2 / 6.0)
     degenerate = 3.0 * m2 <= DEGENERATE_SPREAD_TOL
     # a degenerate S divides by 1 (p < 1e-7 there, and the max picks True = 1)
@@ -200,12 +190,10 @@ def geometric_discord_eig(s_mat: np.ndarray) -> float | np.ndarray:
 def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     """Tight lower bound on the geometric discord (theta = 0 limit).
 
-    Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2); the radical is
-    computed as a sum of squares of the deviatoric part, hence >= 0.
+    Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2), the q of the closed form's
+    pass; the radical is computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # S near the float limit: inf, NaN
-        t1, m2, _ = _trace_invariants(s_mat)
-        return (4.0 / 3.0) * t1 - 4.0 * np.sqrt(m2 / 6.0)
+    return _closed_form(s_mat)[2]
 
 
 def negativity_of_quantumness_bell(state) -> float | np.ndarray:
@@ -364,11 +352,14 @@ def scaled_record(
 def full_report(
     rho: np.ndarray,
     *,
-    epsilon: float | None = None,
+    deviation: np.ndarray | None = None,
     include_local_bloch: bool = True,
 ) -> CorrelationReport:
-    """All correlation measures of a 2 x d state, in the units of ``scaled_record``."""
+    """All correlation measures of a 2 x d state rho; for rho = I/(2d) + eps * deviation
+    they may be read off the traceless ``deviation``, in units of eps^2 (d_g, q) and eps
+    (q_n), with no round-off of rho divided by eps. The negativity is rho's."""
     rho = np.asarray(rho, dtype=complex)
-    record, units = scaled_record(bloch_decompose(rho), epsilon=epsilon,
-                                  include_local_bloch=include_local_bloch)
+    record, _ = scaled_record(bloch_decompose(rho if deviation is None else deviation),
+                              include_local_bloch=include_local_bloch)
+    units = UNITS_FULL if deviation is None else UNITS_DEVIATION
     return report_from_record(record, rho=rho, units=units)

@@ -268,7 +268,9 @@ def test_stacked_trajectory_matches_per_time_evolve(state, include_local_bloch):
         # q (not d_g, whose arccos amplifies round-off near a degenerate
         # top pair of S) sees x, which differs between the qubits
         assert np.max(np.abs(coeffs - np.diagonal(bloch_decompose(single).C) / scale)) <= 1e-10
-        want = full_report(single, epsilon=eps, include_local_bloch=include_local_bloch)
+        # in deviation mode, the report of the deviation the per-time state carries
+        shift = (single - np.eye(4) / 4.0) / eps if deviation else None
+        want = full_report(single, deviation=shift, include_local_bloch=include_local_bloch)
         assert abs(report.q - want.q) <= 1e-10
         assert (report.q_n is None) == (want.q_n is None)
         assert report.units == (UNITS_DEVIATION if deviation else "eps^0")

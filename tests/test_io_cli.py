@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from qcorr.io import (
     serialize_trajectory,
     write_state_file,
 )
-from qcorr.measures import report_from_record, scaled_record
+from qcorr.measures import UNITS_DEVIATION, UNITS_FULL, report_from_record, scaled_record
 from qcorr.protocol import run_direct_protocol
 
 
@@ -289,8 +290,8 @@ def test_cli_measure_reference_state(tmp_path, capsys):
     path = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
     assert main(["measure", "--state", path]) == 0
     out = capsys.readouterr().out
-    assert "d_g = 0.030600000000324" in out
-    assert "q_n = 0.120000000000675" in out
+    assert "d_g = 0.0306\n" in out
+    assert "q_n = 0.12\n" in out
     assert "units = eps^2/eps^1" in out
 
 
@@ -575,11 +576,15 @@ def test_cli_protocol_shots_beyond_int64_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("shots", [[], ["--shots", "100", "--seed", "1"]])
 def test_cli_protocol_overflowing_epsilon_exit_2(tmp_path, capsys, shots):
-    # readout round-off (about 1e-17) divided by eps = 1e-200 overflows S; at
-    # eps = 1e-110 S is finite but the squares of its entries overflow
-    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+    # shot readouts (about 1e-2 off) divided by eps = 1e-200 overflow S; at
+    # eps = 1e-110 S is finite but the squares of its entries overflow. Exact
+    # readouts are taken in eps units: they overflow S only for coefficients
+    # as large as 1e200, which eps = 1e-201 keeps a state
+    c, epsilons = ([0.5, -0.06, 0.24], ("1e-110", "1e-200")) if shots \
+        else ([1e200, -1e199, 5e199], ("1e-201",))
+    bell = write_bell_file(tmp_path / "b.json", c)
     out = tmp_path / "protocol.json"
-    for epsilon in ("1e-110", "1e-200"):
+    for epsilon in epsilons:
         assert main(["protocol", "--state", bell, "--epsilon", epsilon,
                      "--output", str(out)] + shots) == 2
         captured = capsys.readouterr()
@@ -607,10 +612,15 @@ def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, 
             argv += ["--shots", str(shots), "--seed", "2"]
         assert main(argv) == 0
         assert len(stacked) == 1  # one measure call per protocol run
-        rho, eps = cli._state_to_matrix(load_state_file(path), None)
-        measured = run_direct_protocol(rho, shots=shots, seed=2 if shots else 0)
-        direct, units = scaled_record(measured, epsilon=eps)
-        tomo, _ = scaled_record(bloch_decompose(rho, 2), epsilon=eps)
+        rho, deviation, eps = cli._load_state(path, None)
+        # a deviation state's exact readouts and decomposition are its deviation's
+        source = rho if deviation is None else deviation
+        direct = run_direct_protocol(source)
+        if shots:
+            direct, _ = scaled_record(run_direct_protocol(rho, shots=shots, seed=2),
+                                      epsilon=eps)
+        tomo = bloch_decompose(source, 2)
+        units = UNITS_FULL if deviation is None else UNITS_DEVIATION
         assert list(stacked[0]) == [report_from_record(direct, rho=rho, units=units),
                                     report_from_record(tomo, rho=rho, units=units)]
     capsys.readouterr()
@@ -647,6 +657,14 @@ def test_cli_batch_names_dims_when_a_part_is_no_integer(dims, capsys):
     assert main(["batch", "--n", "2", "--dims", dims]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --dims must list dimensions >= 2, got {dims!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_batch_names_n(n, capsys):
+    assert main(["batch", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --n must be at least 1, got {n}\n"
     assert captured.out == ""
 
 
@@ -791,22 +809,60 @@ def test_cli_fuzz_evolve(tmp_path_factory, lines, flags, inline_state):
 
 
 @pytest.mark.parametrize("command", ["measure", "protocol"])
-@pytest.mark.parametrize("epsilon", ["1e-12", "1e-14", "1e-200"])
-def test_cli_refuses_an_epsilon_the_state_cannot_resolve(tmp_path, capsys, command, epsilon):
-    # I/4 + eps * deviation rounds the Bell coefficients away: at eps = 1e-12 they come
-    # back 3e-5 off, and at 1e-200 as 0, so d_g would be printed wrong with exit 0
-    bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+@pytest.mark.parametrize("epsilon", ["1e-3", "1e-10", "1e-12", "1e-14", "1e-200"])
+def test_cli_deviation_outputs_do_not_depend_on_epsilon(tmp_path, capsys, command, epsilon):
+    # the measures are read off the deviation in eps units, so stdout and the output file
+    # are those at the default eps = 1e-5, and d_g is the Bell-diagonal value
+    # 2 (sum c_i^2 - max c_i^2) / 4 to round-off, however far eps rounds I/4 + eps * dev
+    for i, c in enumerate(([0.5, -0.06, 0.24], [0.8, -0.7, 0.45])):
+        bell = write_bell_file(tmp_path / f"b{i}.json", c)
+        runs = []
+        for eps in ("1e-5", epsilon):
+            out = tmp_path / f"{i}_{eps}.out"
+            assert main([command, "--state", bell, "--epsilon", eps, "--output", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[1] == runs[0]
+        squares = np.square(c)
+        want = 2.0 * (squares.sum() - squares.max()) / 4.0
+        printed = [float(v) for v in re.findall(r"^d_g = (\S+)$", runs[1][0], re.MULTILINE)]
+        assert len(printed) == (1 if command == "measure" else 2)
+        assert all(abs(d_g - want) <= 1e-15 * want for d_g in printed), printed
+
+
+def test_cli_refuses_coefficients_that_overflow_s(tmp_path, capsys):
+    # at eps = 1e-201 coefficients of 1e200 make a state, but S squares them past the
+    # float range: measure and protocol stop at one check, before any output
+    bell = write_bell_file(tmp_path / "b.json", [1e200, -1e199, 5e199])
     out = tmp_path / "out.json"
-    assert main([command, "--state", bell, "--epsilon", epsilon, "--output", str(out)]) == 2
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a numpy warning fails the test
+        for command in ("measure", "protocol"):
+            assert main([command, "--state", bell, "--epsilon", "1e-201",
+                         "--output", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            errors.append(captured.err)
+    assert errors[0] == errors[1] and "too large" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["measure", "protocol", "evolve"])
+def test_cli_epsilon_follows_the_polarization_rule(tmp_path, capsys, command):
+    # every command takes RelaxationParams' rule, 0 < eps <= 1; measure and protocol
+    # name the flag, evolve the config key the flag sets
+    bell = write_bell_file(tmp_path / "b.json", [0.1, -0.1, 0.1])
+    out = tmp_path / "out.csv"
+    assert main([command, "--state", bell, "--epsilon", "2", "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert f"--epsilon {float(epsilon)} is too small" in captured.err
+    name = "relaxation parameters: epsilon" if command == "evolve" else "--epsilon"
+    assert f"{name} must lie in (0, 1], got 2.0" in captured.err
 
 
 @pytest.mark.parametrize("command", ["measure", "protocol"])
 def test_cli_keeps_an_epsilon_the_state_resolves(tmp_path, capsys, command):
     bell = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
-    for epsilon in ("1e-4", "1e-5", "1e-9"):  # read-back errors 5e-13, 3e-12, 4e-8 of max |c|
+    for epsilon in ("1e-4", "1e-5", "1e-9"):
         assert main([command, "--state", bell, "--epsilon", epsilon]) == 0
         assert "d_g = 0.0306" in capsys.readouterr().out
     zero = write_bell_file(tmp_path / "z.json", [0.0, 0.0, 0.0])  # I/4 holds exact zeros

@@ -29,6 +29,7 @@ from qcorr.measures import (
     DEGENERATE_SPREAD_TOL,
     PPT_BALL_MARGIN,
     partial_transpose,
+    scaled_record,
 )
 
 
@@ -136,7 +137,7 @@ def test_negativity_rejects_other_dimensions():
 
 def test_full_report_reference_states():
     state = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
-    rep = full_report(state.density_matrix(epsilon=1e-5), epsilon=1e-5)
+    rep = full_report(state.density_matrix(epsilon=1e-5), deviation=state.deviation_matrix())
     assert abs(rep.d_g - 0.0306) <= 1e-12
     assert abs(rep.q_n - 0.12) <= 1e-12
     assert rep.units == "eps^2/eps^1"
@@ -175,8 +176,10 @@ def test_full_report_d3_has_no_negativity():
 
 @pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf, -np.inf])
 def test_full_report_rejects_a_non_positive_epsilon(epsilon):
+    # full_report reads eps units off a deviation; the report path's epsilon, for
+    # trajectories and shot readouts, is scaled_record's
     with pytest.raises(ValueError, match="epsilon"):
-        full_report(np.eye(4) / 4.0, epsilon=epsilon)
+        scaled_record(bloch_decompose(np.eye(4) / 4.0), epsilon=epsilon)
 
 
 def test_is_bell_diagonal_gate():
