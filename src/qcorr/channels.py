@@ -21,6 +21,9 @@ COMPLETENESS_TOL = 1e-12
 #: confirmation threshold for a sudden transition: the second difference
 #: of d_g at the candidate must exceed this multiple of its median.
 TRANSITION_SPIKE_FACTOR = 10.0
+#: grid points the transition search needs: a switch after the first step, with a
+#: second difference on each side of it
+_MIN_TRANSITION_POINTS = 5
 
 _PAULI_1Q = np.array([np.eye(2), *PAULIS])
 #: sigma_i (x) sigma_j for i, j in (I, X, Y, Z), shape (4, 4, 4, 4)
@@ -225,8 +228,9 @@ def detect_transition(traj: Trajectory) -> TransitionPoint | None:
     2.5e-3, limit 3.3e-3), over 100 points it is confirmed.
     """
     n = len(traj.times)
-    if n < 5:
-        raise ValueError(f"trajectory must have at least 5 points, got {n}")
+    if n < _MIN_TRANSITION_POINTS:
+        raise ValueError(f"trajectory must have at least {_MIN_TRANSITION_POINTS} points, "
+                         f"got {n}")
     dominant = np.argmax(np.abs(traj.bell_coeffs), axis=1)
     switches = np.flatnonzero(dominant[2:] != dominant[1:-1]) + 2
     if not switches.size:

@@ -129,7 +129,7 @@ def cmd_evolve(args) -> int:
         n_points=cfg.n_points,
         include_local_bloch=cfg.include_local_bloch,
     )
-    hit = detect_transition(traj)  # rejects a too-short grid before any file is written
+    hit = detect_transition(traj)
     write_output(cfg.output, serialize_trajectory(traj, cfg.format))
     log.info("wrote %d trajectory points to %s", cfg.n_points, cfg.output)
     if hit is None:
@@ -142,15 +142,18 @@ def cmd_evolve(args) -> int:
 def cmd_protocol(args) -> int:
     rho, deviation, eps = _load_state(args.state, args.epsilon)
     if args.shots is not None and args.seed is None:
-        raise ConfigError("a seed is mandatory whenever shots is set")
+        raise ConfigError("--seed is mandatory whenever --shots is set")
     seed = 0 if args.seed is None else _seed(args.seed)
     # readouts and decomposition are linear and vanish on I/4, so a deviation state's
     # are read off its deviation, in eps units; shots sample the physical state
     source = rho if deviation is None else deviation
     exact = direct = run_direct_protocol(source)
     if args.shots is not None:
-        direct, _ = scaled_record(run_direct_protocol(rho, shots=args.shots, seed=seed),
-                                  epsilon=eps)
+        try:  # the state passed the exact run, so only shots can be refused here
+            shot_record = run_direct_protocol(rho, shots=args.shots, seed=seed)
+        except ValueError as exc:  # its message starts with the argument name
+            raise ConfigError(f"--{exc}") from None
+        direct, _ = scaled_record(shot_record, epsilon=eps)
     tomo = bloch_decompose(source, 2)
 
     # the direct and tomography records go through the measures as one stack
@@ -160,9 +163,10 @@ def cmd_protocol(args) -> int:
     reports = report_from_record(both, rho=np.stack([rho, rho]), units=units)
     _require_finite(reports)  # with finite d_g and q, S and every estimate are finite
     direct_report, tomo_report = reports
-    # q_n counts only where both runs define it (NaN otherwise)
-    max_diff = float(np.nanmax([abs(col[0] - col[1])
-                                for col in (reports.d_g, reports.q, reports.q_n)]))
+    # q_n counts only where both runs define it (NaN otherwise); d_g and q are finite
+    diffs = [abs(a - b) for a, b in (reports.d_g.tolist(), reports.q.tolist(),
+                                     reports.q_n.tolist())]
+    max_diff = max(diff for diff in diffs if diff == diff)
 
     direct_n, tomo_n = measurement_budget(2)
     lines = [f"budget: direct: {direct_n}, tomography: {tomo_n}",

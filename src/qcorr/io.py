@@ -2,8 +2,9 @@
 
 Each format is defined once, here:
 
-* State files (``load_state_file``, ``write_state_file``) are JSON
-  documents of one of two kinds::
+* State files (``load_state_file``, ``write_state_file``) are UTF-8 JSON
+  documents of one of two kinds, read in one binary read (a BOM or
+  invalid UTF-8 is refused)::
 
       {"kind": "matrix", "dim": N, "re": [[...]], "im": [[...]]}
       {"kind": "bell", "c": [c1, c2, c3], "mode": "full" | "deviation"}
@@ -16,7 +17,10 @@ Each format is defined once, here:
   keys, so a flag value is parsed like the file value it replaces.
 * Result tables (``render_table``) are columns, key -> one value per
   row, or one record, written as JSON or CSV; every command writes its
-  file through ``write_output``.
+  file through ``write_output``. JSON and CSV tables are rendered in one
+  pass over their columns: one row template, filled by ``%``, with no
+  dict per row and no call per float cell; in ``dump_json`` a list of
+  plain floats is one join.
 
 All numeric output is rendered with a fixed 15-significant-digit format
 so that rerunning a command with the same inputs produces byte-identical
@@ -24,6 +28,7 @@ files.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import BellDiagonalState
-from .channels import RelaxationParams, Trajectory
+from .channels import _MIN_TRANSITION_POINTS, RelaxationParams, Trajectory
 from .measures import CorrelationReport
 
 
@@ -53,6 +58,8 @@ def format_float(x: float) -> str:
 
 
 def _json_scalar(v) -> str:
+    if isinstance(v, float):  # np.float64 too, a float subclass
+        return format_float(v)
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -61,7 +68,7 @@ def _json_scalar(v) -> str:
         return json.dumps(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, np.floating):
         return format_float(float(v))
     raise TypeError(f"cannot serialize {type(v)!r}")
 
@@ -73,8 +80,12 @@ def dump_json(value, indent: int = 0) -> str:
         items = [f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 2).lstrip()}'
                  for k, v in value.items()]
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        rendered = [dump_json(v, indent + 2).lstrip() for v in value]
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        # a plain float is formatted in place, anything else by a call per item
+        rendered = [format(v, ".15g") if type(v) is float else dump_json(v, indent + 2).lstrip()
+                    for v in value]
         return pad + "[" + ", ".join(rendered) + "]"
     return pad + _json_scalar(value)
 
@@ -115,47 +126,51 @@ def _number_array(doc: dict, key: str, where: str) -> np.ndarray:
 def load_state_file(path: str | Path) -> np.ndarray | BellDiagonalState:
     """Parse a state file into its complex matrix or its BellDiagonalState;
     format problems raise StateFormatError."""
-    path = Path(path)
+    where = str(path)
     try:
-        text = path.read_text()
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
-        raise StateFormatError(f"cannot read state file {path}: {exc}", field_name="file")
+        raise StateFormatError(f"cannot read state file {where}: {exc}", field_name="file")
+    # a BOM stays in the text, which json.loads refuses (it would skip one in bytes), and
+    # newlines are translated as a text-mode read translates them, for the error positions
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise StateFormatError(f"{path}: not valid JSON ({exc})", field_name="file")
+        raise StateFormatError(f"{where}: not valid JSON ({exc})", field_name="file")
     if not isinstance(doc, dict):
-        raise StateFormatError(f"{path}: top level must be an object", field_name="file")
+        raise StateFormatError(f"{where}: top level must be an object", field_name="file")
 
-    kind = _require(doc, "kind", str, str(path))
+    kind = _require(doc, "kind", str, where)
     if kind == "matrix":
-        dim = _require(doc, "dim", int, str(path))
-        re_arr = _number_array(doc, "re", str(path))
-        im_arr = _number_array(doc, "im", str(path))
+        dim = _require(doc, "dim", int, where)
+        re_arr = _number_array(doc, "re", where)
+        im_arr = _number_array(doc, "im", where)
         if re_arr.shape != (dim, dim):
             raise StateFormatError(
-                f"{path}: field 're' has shape {re_arr.shape}, expected ({dim}, {dim})",
+                f"{where}: field 're' has shape {re_arr.shape}, expected ({dim}, {dim})",
                 field_name="re",
             )
         if im_arr.shape != (dim, dim):
             raise StateFormatError(
-                f"{path}: field 'im' has shape {im_arr.shape}, expected ({dim}, {dim})",
+                f"{where}: field 'im' has shape {im_arr.shape}, expected ({dim}, {dim})",
                 field_name="im",
             )
         return re_arr + 1j * im_arr
     if kind == "bell":
-        coeffs = _number_array(doc, "c", str(path))
+        coeffs = _number_array(doc, "c", where)
         if coeffs.shape != (3,):
-            raise StateFormatError(f"{path}: field 'c' must hold 3 numbers", field_name="c")
+            raise StateFormatError(f"{where}: field 'c' must hold 3 numbers", field_name="c")
         mode = doc.get("mode", "full")
         if mode not in ("full", "deviation"):
             raise StateFormatError(
-                f"{path}: field 'mode' must be 'full' or 'deviation', got {mode!r}",
+                f"{where}: field 'mode' must be 'full' or 'deviation', got {mode!r}",
                 field_name="mode",
             )
         return BellDiagonalState(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]),
                                  mode=mode)
-    raise StateFormatError(f"{path}: unknown kind {kind!r}", field_name="kind")
+    raise StateFormatError(f"{where}: unknown kind {kind!r}", field_name="kind")
 
 
 def write_state_file(path: str | Path, rho: np.ndarray) -> None:
@@ -182,24 +197,35 @@ def render_table(table: dict, fmt: str) -> str:
         if fmt == "json":
             return dump_json(table) + "\n"
         table = {key: [value] for key, value in table.items()}
-    if fmt == "json":
-        columns = [[None if v != v else v for v in col.tolist()]
-                   if isinstance(col, np.ndarray) else col for col in table.values()]
-        return dump_json([dict(zip(table, row)) for row in zip(*columns)]) + "\n"
-    if fmt != "csv":
+    if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
-    # one `%` writes the float-array cells ("%.15g": only NaN contains "nan", blanked
-    # next); a list's cells, None empty and numbers as in JSON, go in by a second `%`
+    # one `%` writes the float-array cells ("%.15g": only NaN contains "nan", made an
+    # empty cell or null next); a second `%` puts in the texts: a list's cells, and in
+    # JSON each key before its cell
     columns = list(table.values())
+    if fmt == "json":  # an array of ints or bools holds JSON values, as a list does
+        columns = [[None if v != v else v for v in col.tolist()]
+                   if isinstance(col, np.ndarray) and col.dtype.kind != "f" else col
+                   for col in columns]
     n = min(map(len, columns))  # rows, as zip counts them
+    cells = ["%.15g" if isinstance(col, np.ndarray) else "%%s" for col in columns]
+    if fmt == "json":
+        row = "{\n" + ",\n".join("    %%s: " + cell for cell in cells) + "\n  }"
+        template, missing = "[" + ", ".join([row] * n) + "]\n", "null"
+        texts = []
+        for key, col in zip(table, columns):
+            texts.append(itertools.repeat(json.dumps(str(key)), n))
+            if not isinstance(col, np.ndarray):  # as dump_json writes a row object's values
+                texts.append([dump_json(v, 4).lstrip() for v in col[:n]])
+    else:
+        template, missing = (",".join(cells) + "\n") * n, ""
+        texts = [["" if v is None else v if isinstance(v, str) else _json_scalar(v)
+                  for v in col[:n]] for col in columns if not isinstance(col, np.ndarray)]
     arrays = [col[:n] for col in columns if isinstance(col, np.ndarray)]
-    lists = [["" if v is None else v if isinstance(v, str) else _json_scalar(v) for v in col[:n]]
-             for col in columns if not isinstance(col, np.ndarray)]
-    row = ",".join("%.15g" if isinstance(col, np.ndarray) else "%%s" for col in columns) + "\n"
-    body = ((row * n) % tuple(np.array(arrays).T.ravel().tolist())).replace("nan", "")
-    if lists:
-        body %= tuple(cell for cells in zip(*lists) for cell in cells)
-    return ",".join(table) + "\n" + body
+    body = (template % tuple(np.array(arrays).T.ravel().tolist())).replace("nan", missing)
+    if texts:
+        body %= tuple(itertools.chain.from_iterable(zip(*texts)))
+    return body if fmt == "json" else ",".join(table) + "\n" + body
 
 
 def write_output(path: str | Path, text: str) -> None:
@@ -302,8 +328,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-#: peak memory of ``evolve`` per grid point: 1.24 KB with CSV output and 1.66 KB with
-#: JSON (peak RSS of one in-process run at 80k points, less the 30 MB after import)
+#: peak memory of ``evolve`` per grid point: about 1.3 KB with CSV or JSON output (peak
+#: RSS of one in-process run at 80k points, less the 30 MB after import); the estimate
+#: is the one made when JSON output built a dict per row and took 1.66 KB
 EVOLVE_BYTES_PER_POINT = 1700
 #: memory ``evolve`` may take for its grid, and the point count that this caps
 EVOLVE_MEMORY_BUDGET = 2**30
@@ -336,6 +363,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"state.mode must be 'full' or 'deviation', got {self.state_mode!r}"
             )
+        if self.n_points < _MIN_TRANSITION_POINTS:  # refused before anything is computed
+            raise ConfigError(f"grid.n_points must be at least {_MIN_TRANSITION_POINTS} "
+                              f"points for the transition search, got {self.n_points}")
         if self.n_points > MAX_POINTS:  # refused before anything is allocated
             raise ConfigError(
                 f"grid.n_points {self.n_points} is above the cap of {MAX_POINTS} points "

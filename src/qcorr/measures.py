@@ -95,6 +95,9 @@ class CorrelationReport:
         d_g, q, *optional = (float(getattr(self, name)[i]) for name in _MEASURES)
         return CorrelationReport(d_g, q, *(None if v != v else v for v in optional), self.units)
 
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
     def __setitem__(self, i: int, report: CorrelationReport) -> None:
         for name in _MEASURES:
             value = getattr(report, name)
@@ -359,7 +362,8 @@ def full_report(
     they may be read off the traceless ``deviation``, in units of eps^2 (d_g, q) and eps
     (q_n), with no round-off of rho divided by eps. The negativity is rho's."""
     rho = np.asarray(rho, dtype=complex)
-    record, _ = scaled_record(bloch_decompose(rho if deviation is None else deviation),
-                              include_local_bloch=include_local_bloch)
+    record = bloch_decompose(rho if deviation is None else deviation)
+    if not include_local_bloch:  # in full units scaling would only divide by 1.0
+        record, _ = scaled_record(record, include_local_bloch=False)
     units = UNITS_FULL if deviation is None else UNITS_DEVIATION
     return report_from_record(record, rho=rho, units=units)

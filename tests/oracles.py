@@ -5,9 +5,11 @@ operator-sum Kraus sets here are the independent model those matrices
 are checked against. A Kraus set is a tuple of 2x2 operators. The scalar
 spin-spin coupling is a separate unitary; Bell-diagonal states are
 invariant under it. The second half keeps the report kernel, the batch
-campaigns and the PTM build in their first form, the byte-level
-reference of the library's.
+campaigns, the PTM build and the JSON renderers in their first form, the
+byte-level reference of the library's.
 """
+import json
+
 import numpy as np
 
 from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL
@@ -209,3 +211,47 @@ def relax(r0: np.ndarray, times: np.ndarray, params) -> np.ndarray:
 def pauli_states(r: np.ndarray) -> np.ndarray:
     """sum_ij R_ij sigma_i (x) sigma_j / 4 over a stack of coefficient matrices."""
     return (r.reshape(-1, 16) @ _PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4) / 4.0
+
+
+# ---------------------------------------------------------------------------
+# The JSON renderers as first written, verbatim: a dict per table row and a
+# dump_json call per cell. test_bit_identity.py holds io's renderers to these bytes.
+
+def format_float(x: float) -> str:
+    return format(float(x), ".15g")
+
+
+def _json_scalar(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(float(v))
+    raise TypeError(f"cannot serialize {type(v)!r}")
+
+
+def dump_json(value, indent: int = 0) -> str:
+    """Deterministic JSON with fixed float formatting (insertion-ordered keys)."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        items = [f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 2).lstrip()}'
+                 for k, v in value.items()]
+        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        rendered = [dump_json(v, indent + 2).lstrip() for v in value]
+        return pad + "[" + ", ".join(rendered) + "]"
+    return pad + _json_scalar(value)
+
+
+def render_json_table(table: dict) -> str:
+    """The JSON branch of ``io.render_table``: one dict per row, NaN array cells as None."""
+    if not isinstance(next(iter(table.values())), (list, np.ndarray)):
+        return dump_json(table) + "\n"
+    columns = [[None if v != v else v for v in col.tolist()]
+               if isinstance(col, np.ndarray) else col for col in table.values()]
+    return dump_json([dict(zip(table, row)) for row in zip(*columns)]) + "\n"

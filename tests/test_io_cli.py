@@ -246,6 +246,28 @@ def test_state_file_truncated(tmp_path):
         load_state_file(path)
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b'\xef\xbb\xbf{"kind": "bell", "c": [0.1, 0.2, 0.3]}',
+     "{path}: not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0))"),
+    (b'{"kind": "bell", "c": [0.1, 0.2, \xff]}',
+     "'utf-8' codec can't decode byte 0xff in position 33: invalid start byte"),
+    (b'{"kind": "bell",\r\n "c": [0.1,\r\n 0.2,, 0.3]}',  # positions count one newline
+     "{path}: not valid JSON (Expecting value: line 3 column 6 (char 34))"),
+    (b'{"kind":\r"bell", "c": ]}',
+     "{path}: not valid JSON (Expecting value: line 2 column 14 (char 22))"),
+])
+def test_cli_state_file_encoding_errors_exit_2(tmp_path, capsys, raw, message):
+    # a state file is UTF-8 JSON: a BOM and invalid UTF-8 are refused, and JSON errors
+    # are placed as in the file read as text
+    path = tmp_path / "s.json"
+    path.write_bytes(raw)
+    assert main(["measure", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path=path)}\n"
+    assert captured.out == ""
+
+
 def test_config_parse_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -492,6 +514,21 @@ def test_cli_evolve_short_grid_writes_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_evolve_refuses_a_short_grid_before_computing_it(tmp_path, capsys, monkeypatch):
+    # the config is refused while it is read: no trajectory is built for it
+    calls = []
+    monkeypatch.setattr(cli, "make_trajectory", lambda *a, **k: calls.append(a))
+    path = write_bell_file(tmp_path / "b.json", [0.5, -0.06, 0.24])
+    for points in ("3", "1", "-2"):
+        assert main(["evolve", "--state", path, "--output", str(tmp_path / "t.csv"),
+                     "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: grid.n_points must be at least 5 points for the "
+                                f"transition search, got {points}\n")
+        assert captured.out == ""
+    assert calls == []
+
+
 def test_cli_protocol_budget_and_agreement(tmp_path, capsys):
     path = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
     out = tmp_path / "protocol.json"
@@ -507,6 +544,19 @@ def test_cli_protocol_shots_need_seed(tmp_path, capsys):
     path = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
     assert main(["protocol", "--state", path, "--shots", "100"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shots", "0", "--seed", "1"], "--shots must be an integer in 1..2**63 - 1, got 0"),
+    (["--shots", "-5", "--seed", "1"], "--shots must be an integer in 1..2**63 - 1, got -5"),
+    (["--shots", "5"], "--seed is mandatory whenever --shots is set"),
+])
+def test_cli_protocol_shot_errors_name_the_flags(tmp_path, capsys, argv, message):
+    path = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
+    assert main(["protocol", "--state", path, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_cli_protocol_shot_mode_reproducible(tmp_path, capsys):

@@ -53,6 +53,18 @@ def test_reports_view_reads_and_writes_the_columns():
     assert reports.d_g[3] == 1.0 and np.isnan(reports.q_n[3]) and reports[3].q_n is None
 
 
+def test_reports_iterate_within_their_length(monkeypatch):
+    # iteration and unpacking index the stack within its length, never past its end
+    indices = []
+    getitem = CorrelationReport.__getitem__
+    monkeypatch.setattr(CorrelationReport, "__getitem__",
+                        lambda self, i: indices.append(i) or getitem(self, i))
+    reports = make_trajectory(RHO2, n_points=5).reports
+    first, *rest = reports
+    assert [first, *rest] == [getitem(reports, i) for i in range(5)]
+    assert indices == [0, 1, 2, 3, 4]
+
+
 def test_reports_compare_by_column():
     # NaN equals NaN in a column, so a stack with missing q_n still equals itself
     a = make_trajectory(RHO2, n_points=5, include_local_bloch=True).reports
