@@ -3,11 +3,14 @@
 
 Runs a fixed set of ``qcorr`` commands (measure, protocol, evolve and
 batch, in every output format) once with this checkout's ``src`` and
-once with OTHER_SRC, on the same input files in a temporary directory.
-Every command runs as ``python -W error::RuntimeWarning -m qcorr ...``,
-so a numpy warning makes it fail. Every file a command writes, its
-stdout and its exit code are compared; each output that differs is
-named and the script exits 1, as it does when a command fails here.
+once with OTHER_SRC, on the same input files in a temporary directory,
+and with them the command lines that argparse answers itself: help, and
+a usage error of each kind. Every command runs as
+``python -W error::RuntimeWarning -m qcorr ...``, so a numpy warning
+makes it fail. Every file a command writes, its stdout, its stderr and
+its exit code are compared; each output that differs is named and the
+script exits 1, as it does when one of the commands that should succeed
+fails here.
 Beside each differing name it prints the largest absolute difference
 between the numbers at the same token positions of the two outputs, or
 "structure differs" when the text around the numbers, or their count,
@@ -149,6 +152,37 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     return cmds
 
 
+def usage_commands(inputs: Path) -> dict[str, list[str]]:
+    """label -> qcorr argv that argparse answers before any command runs: help
+    (exit 0) or a usage error (exit 2)."""
+    state = str(inputs / "bell_full.json")
+    return {
+        "usage_no_command": [],
+        "usage_help": ["-h"],
+        "usage_help_abbreviated": ["--he"],
+        "usage_help_before_command": ["-h", "measure"],
+        "usage_unknown_command": ["frobnicate"],
+        "usage_unknown_flag_before_command": ["--bogus", "measure", "--state", state],
+        "usage_dashdash_before_command": ["--", "measure", "--state", state],
+        "usage_measure_help": ["measure", "-h"],
+        "usage_evolve_help": ["evolve", "--help"],
+        "usage_protocol_help_abbreviated": ["protocol", "--h"],
+        "usage_batch_help": ["batch", "-h", "--n", "x"],
+        "usage_measure_no_state": ["measure"],
+        "usage_measure_state_without_value": ["measure", "--state"],
+        "usage_measure_unknown_flag": ["measure", "--state", state, "--bogus"],
+        "usage_measure_extra_positional": ["measure", "--state", state, "extra"],
+        "usage_measure_dashdash": ["measure", "--", "--state", state],
+        "usage_measure_bad_format": ["measure", "--state", state, "--format", "xml"],
+        "usage_measure_bad_epsilon": ["measure", "--state", state, "--epsilon", "abc"],
+        "usage_measure_flag_with_value": ["measure", "--state", state,
+                                          "--include-local-bloch=yes"],
+        "usage_protocol_bad_shots": ["protocol", "--state", state, "--shots", "abc"],
+        "usage_evolve_points_without_value": ["evolve", "--points"],
+        "usage_batch_extra_positionals": ["batch", "--n", "2", "extra", "more"],
+    }
+
+
 def run_side(src: Path, inputs: Path, workdir: Path) -> dict[str, bytes]:
     """Run every command with qcorr from ``src``; output name -> bytes."""
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -161,10 +195,11 @@ def run_side(src: Path, inputs: Path, workdir: Path) -> dict[str, bytes]:
                  f"(got {probe.stdout.strip() or probe.stderr.strip()})")
     workdir.mkdir()
     outputs = {}
-    for label, argv in commands(inputs).items():
+    for label, argv in {**commands(inputs), **usage_commands(inputs)}.items():
         proc = subprocess.run([sys.executable, *PYTHON_FLAGS, "-m", "qcorr", *argv],
                               cwd=workdir, env=env, capture_output=True)
         outputs[f"{label}.stdout"] = proc.stdout
+        outputs[f"{label}.stderr"] = proc.stderr
         outputs[f"{label}.exit"] = str(proc.returncode).encode()
     for path in sorted(workdir.iterdir()):
         outputs[path.name] = path.read_bytes()
@@ -191,9 +226,9 @@ def main() -> int:
         write_inputs(tmp / "inputs")
         ours = run_side(SRC, tmp / "inputs", tmp / "this")
         theirs = run_side(args.other_src.resolve(), tmp / "inputs", tmp / "other")
+        succeeding = commands(tmp / "inputs")
     # a command that fails on both sides would compare equal and show nothing
-    failed = sorted(name for name, value in ours.items()
-                    if name.endswith(".exit") and value != b"0")
+    failed = sorted(f"{label}.exit" for label in succeeding if ours[f"{label}.exit"] != b"0")
     differ = sorted(name for name in ours.keys() | theirs.keys()
                     if ours.get(name) != theirs.get(name))
     for name in failed:

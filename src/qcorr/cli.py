@@ -16,10 +16,15 @@ Exit codes: 0 success, 2 input/parse error, 3 invalid state,
 4 property violation in a batch run. Every command writes its output
 file before it prints, so an unwritable path exits 2 with nothing on
 stdout. The QCORR_LOG environment variable sets log verbosity only; it
-never affects numeric output.
+never affects numeric output, and a value that names no logging level
+exits 2.
 
-The argument parser is built once per process, on the first ``main``
-call, and reused; each call still parses into a fresh namespace.
+The argument parsers are built once per process, on the first ``main``
+call, and reused; each call still parses into a fresh namespace. A call
+parses its argv with the named command's own parser, the one the
+top-level parser dispatches to; the top-level parser runs only for help,
+a missing or unknown command, or arguments the command leaves unparsed,
+and reports them as it would have.
 """
 from __future__ import annotations
 
@@ -222,7 +227,8 @@ def cmd_batch(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Quantum-correlation measures, direct-measurement protocol "
@@ -269,12 +275,33 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--output", default=None)
     batch.add_argument("--format", choices=("csv", "json"), default="csv")
     batch.set_defaults(func=cmd_batch)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed by the named command's own parser into the namespace the
+    top-level parser gives; that parser runs only to report help, a missing or
+    unknown command, or arguments the command leaves unparsed."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        # the namespace the top-level parser would pass on: the command's name first
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("QCORR_LOG", "WARNING").upper())
-    args = _build_parser().parse_args(argv)
+    level = os.environ.get("QCORR_LOG", "WARNING")
+    # basicConfig checks the level only while the root logger has no handler
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: QCORR_LOG must name a logging level (DEBUG, INFO, WARNING, "
+              f"ERROR, CRITICAL), got {level!r}", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level.upper())
+    args = _parse(argv)
     try:
         return args.func(args)
     except InvalidStateError as exc:

@@ -17,10 +17,11 @@ Each format is defined once, here:
   keys, so a flag value is parsed like the file value it replaces.
 * Result tables (``render_table``) are columns, key -> one value per
   row, or one record, written as JSON or CSV; every command writes its
-  file through ``write_output``. JSON and CSV tables are rendered in one
-  pass over their columns: one row template, filled by ``%``, with no
-  dict per row and no call per float cell; in ``dump_json`` a list of
-  plain floats is one join.
+  file through ``write_output``, which writes it with one ``open``. JSON
+  and CSV tables are rendered in one pass over their columns: one row
+  template, filled by ``%``, with no dict per row and no call per float
+  cell; ``dump_json`` writes a plain float in a list or a dict in place,
+  with no call of its own.
 
 All numeric output is rendered with a fixed 15-significant-digit format
 so that rerunning a command with the same inputs produces byte-identical
@@ -77,7 +78,8 @@ def dump_json(value, indent: int = 0) -> str:
     """Deterministic JSON with fixed float formatting (insertion-ordered keys)."""
     pad = " " * indent
     if isinstance(value, dict):
-        items = [f'{pad}  {json.dumps(str(k))}: {dump_json(v, indent + 2).lstrip()}'
+        items = [f'{pad}  {json.dumps(str(k))}: '
+                 + (format(v, ".15g") if type(v) is float else dump_json(v, indent + 2).lstrip())
                  for k, v in value.items()]
         return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, np.ndarray):
@@ -107,9 +109,9 @@ def _require(doc: dict, key: str, kinds, where: str):
 def _number_array(doc: dict, key: str, where: str) -> np.ndarray:
     """Field ``key`` as a float array: a list, or list of lists, of finite JSON numbers."""
     value = _require(doc, key, list, where)
-    entries = [v for item in value for v in (item if isinstance(item, list) else [item])]
     # exact types: bool is an int subclass, and a list here would nest too deep
-    if not all(type(v) in (int, float) for v in entries):
+    kinds = {type(v) for item in value for v in (item if isinstance(item, list) else (item,))}
+    if not kinds <= {int, float}:
         raise StateFormatError(f"{where}: field {key!r} must hold numbers only",
                                field_name=key)
     try:
@@ -190,23 +192,23 @@ def write_state_file(path: str | Path, rho: np.ndarray) -> None:
 def render_table(table: dict, fmt: str) -> str:
     """A result table as a JSON list of row objects or a CSV table (the keys as
     header, then one line per row). ``table`` maps each key to its column, a list
-    or a 1-D float array; a missing value, None in a list or NaN in an array, is
-    an empty cell or JSON null. A table of single values is one record, which
-    JSON writes as one object."""
+    or a 1-D array, whose ints or bools are written as the JSON values a list
+    holds; a missing value, None in a list or NaN in an array, is an empty cell or
+    JSON null. A table of single values is one record, which JSON writes as one
+    object."""
     if not isinstance(next(iter(table.values())), (list, np.ndarray)):
         if fmt == "json":
             return dump_json(table) + "\n"
         table = {key: [value] for key, value in table.items()}
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {fmt!r}")
+    # an array of ints or bools holds JSON values in both formats, as a list does
+    columns = [[None if v != v else v for v in col.tolist()]
+               if isinstance(col, np.ndarray) and col.dtype.kind != "f" else col
+               for col in table.values()]
     # one `%` writes the float-array cells ("%.15g": only NaN contains "nan", made an
     # empty cell or null next); a second `%` puts in the texts: a list's cells, and in
     # JSON each key before its cell
-    columns = list(table.values())
-    if fmt == "json":  # an array of ints or bools holds JSON values, as a list does
-        columns = [[None if v != v else v for v in col.tolist()]
-                   if isinstance(col, np.ndarray) and col.dtype.kind != "f" else col
-                   for col in columns]
     n = min(map(len, columns))  # rows, as zip counts them
     cells = ["%.15g" if isinstance(col, np.ndarray) else "%%s" for col in columns]
     if fmt == "json":
@@ -232,7 +234,8 @@ def write_output(path: str | Path, text: str) -> None:
     """Write a command's result file; a path that cannot be written is a
     ConfigError naming it."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as file:
+            file.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 

@@ -135,15 +135,22 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
-def _closed_form(s_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_g, theta, q) of a (stack of) symmetric 3x3 S in one pass over its trace
-    invariants; theta is NaN where the spectrum is degenerate. tr[dev^2] = tr[S^2] -
-    tr[S]^2/3 is a sum of squares, so the radical 6 tr[dev^2] never goes negative."""
+def _symmetric_s(s_mat: np.ndarray) -> np.ndarray:
+    """S as a float array; ValueError unless it is a (stack of) symmetric 3x3."""
     s = np.asarray(s_mat, dtype=float)
     if s.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    hermitian_asymmetry(s)  # ValueError unless S is symmetric
+    hermitian_asymmetry(s)
+    return s
+
+
+@np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
+def _closed_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_g, theta, q) of a float (stack of) symmetric 3x3 S in one pass over its
+    trace invariants; theta is NaN where the spectrum is degenerate. tr[dev^2] =
+    tr[S^2] - tr[S]^2/3 is a sum of squares, so the radical 6 tr[dev^2] never goes
+    negative. S is taken as given: ``s_matrix`` output is exactly symmetric, and the
+    public ``geometric_discord_closed`` and ``q_lower_bound`` check theirs."""
     t1 = 0.0 + s[..., 0, 0] + s[..., 1, 1] + s[..., 2, 2]  # np.trace's sum, from +0.0
     dev = s - (t1 / 3.0)[..., None, None] * _EYE3
     m2 = (dev * dev).reshape(dev.shape[:-2] + (9,)).sum(axis=-1)
@@ -173,7 +180,7 @@ def geometric_discord_closed(
     argument is 0/0) take theta = 0 and return None for the angle (NaN
     in a stack).
     """
-    d_g, theta, _ = _closed_form(s_mat)
+    d_g, theta, _ = _closed_form(_symmetric_s(s_mat))
     if theta.ndim == 0:
         return d_g, None if theta != theta else float(theta)
     return d_g, theta
@@ -196,7 +203,7 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2), the q of the closed form's
     pass; the radical is computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    return _closed_form(s_mat)[2]
+    return _closed_form(_symmetric_s(s_mat))[2]
 
 
 def negativity_of_quantumness_bell(state) -> float | np.ndarray:

@@ -180,6 +180,16 @@ def test_csv_round_trip():
     _csv_matches(render_batch_report(results, "csv"), [dataclasses.asdict(r) for r in results])
 
 
+def test_int_and_bool_array_columns_write_json_values():
+    # as a list column writes them, in CSV as in JSON
+    arrays = {"a": np.array([12345678901234567, -3]), "b": np.array([True, False]),
+              "c": np.array([0.5, np.nan])}
+    lists = {"a": [12345678901234567, -3], "b": [True, False], "c": [0.5, None]}
+    assert render_table(arrays, "csv") == "a,b,c\n12345678901234567,true,0.5\n-3,false,\n"
+    for fmt in ("csv", "json"):
+        assert render_table(arrays, fmt) == render_table(lists, fmt)
+
+
 def test_cli_protocol_output_key_order(tmp_path, capsys):
     path = write_bell_file(tmp_path / "b.json", [0.5, -0.3, 0.2], mode="full")
     out = tmp_path / "protocol.json"
@@ -498,8 +508,7 @@ def test_cli_evolve_every_flag_overrides_its_config_key(tmp_path, flag, key, fil
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**state, key: file_value}.items()))
 
     def resolved(*argv):
-        return cli._evolve_config(cli._build_parser().parse_args(["evolve", "--config",
-                                                                   str(cfg), *argv]))
+        return cli._evolve_config(cli._parse(["evolve", "--config", str(cfg), *argv]))
 
     # the flag's text replaces the file's value of its key, and nothing else
     assert resolved(*flag) == build_config({**state, key: text})
@@ -574,7 +583,65 @@ def test_cli_protocol_shot_mode_reproducible(tmp_path, capsys):
 
 
 def test_cli_parser_built_once():
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parsers() is cli._parsers()
+
+
+#: argvs of every command's valid forms, every argparse error and help
+DISPATCH_ARGVS = [
+    ["measure", "--state", "s.json"],
+    ["measure", "--state=s.json", "--epsilon", "1e-4", "--no-include-local-bloch",
+     "--output", "o.csv", "--format", "json"],
+    ["measure", "--stat", "s.json", "--include-local-bloch", "--epsilon", "-2"],
+    ["measure", "--state", "a.json", "--state", "b.json"],
+    ["evolve"],
+    ["evolve", "--config", "c.cfg", "--state", "b.json", "--t-max", "0.3", "--points", "40",
+     "--epsilon", "2e-5", "--no-include-local-bloch", "--output", "o.json", "--format", "json"],
+    ["evolve", "--dt", "0.004", "--include-local-bloch"],
+    ["protocol", "--state", "s.json"],
+    ["protocol", "--state", "s.json", "--shots", "100", "--seed", "3", "--epsilon", "1e-3",
+     "--output", "p.json"],
+    ["batch"],
+    ["batch", "--n", "5", "--seed", "-1", "--dims", "2,3", "--output", "b.csv",
+     "--format", "json"],
+    # usage errors and help
+    [], ["-h"], ["--help"], ["--he"], ["-h", "measure"], ["measure", "-h"], ["evolve", "--help"],
+    ["protocol", "--h"], ["batch", "-h", "--n", "x"], ["frobnicate"], ["Measure"], ["--bogus"],
+    ["--bogus", "measure", "--state", "s.json"], ["--", "measure", "--state", "s.json"],
+    ["measure"], ["measure", "--state"], ["measure", "--state", "s.json", "--bogus"],
+    ["measure", "--state", "s.json", "-x"], ["measure", "--state", "s.json", "extra"],
+    ["measure", "--state", "s.json", "-5"], ["measure", "--state", "s.json", "--"],
+    ["measure", "--", "--state", "s.json"], ["measure", "--state", "s.json", "--format", "xml"],
+    ["measure", "--state", "s.json", "--epsilon", "abc"],
+    ["measure", "--state", "s.json", "--include-local-bloch=yes"],
+    ["evolve", "--points"], ["evolve", "--bogus", "1", "--also"],
+    ["protocol", "--state", "s.json", "--shots", "abc"], ["protocol", "--seed", "1"],
+    ["batch", "--n"], ["batch", "--n", "2", "extra", "more"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """(the namespace's items in order, or the SystemExit code) and the captured
+    stdout and stderr."""
+    try:
+        result = list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_cli_dispatch_parses_as_the_top_level_parser(argv, capsys):
+    # each call parses with its command's parser alone, with the same namespace, or
+    # the same exit code and messages, as the top-level parser gives
+    top, _ = cli._parsers()
+    assert _parsed(cli._parse, argv, capsys) == _parsed(top.parse_args, argv, capsys)
+
+
+def test_cli_dispatch_parses_the_command_alone(monkeypatch):
+    # a complete command line never reaches the top-level parser
+    top, _ = cli._parsers()
+    monkeypatch.setattr(top, "parse_args", None)
+    assert cli._parse(["measure", "--state", "s.json"]).command == "measure"
 
 
 def test_cli_consecutive_calls_share_no_state(tmp_path, capsys):
@@ -727,6 +794,21 @@ def test_cli_negative_seed_names_the_flag(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: --seed must be a non-negative integer, got {seed}\n"
         assert captured.out == "", argv
+
+
+@pytest.mark.parametrize("level", ["verbose", "", "10"])
+def test_unknown_log_level_exits_2(tmp_path, monkeypatch, capsys, level):
+    path = write_bell_file(tmp_path / "rho2.json", [0.5, -0.06, 0.24])
+    monkeypatch.setenv("QCORR_LOG", level)
+    for _ in range(2):  # every call, not only the one that configures logging
+        assert main(["measure", "--state", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: QCORR_LOG must name a logging level")
+        assert repr(level) in captured.err
+    monkeypatch.setenv("QCORR_LOG", "debug")
+    assert main(["measure", "--state", path]) == 0
+    capsys.readouterr()
 
 
 def test_log_env_var_does_not_change_output(tmp_path, monkeypatch, capsys):

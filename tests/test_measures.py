@@ -97,6 +97,42 @@ def test_discord_eig_rejects_bad_s():
             geometric_discord_eig(np.zeros(shape))
 
 
+def test_closed_form_rejects_bad_s():
+    # the public views check S, as the eigenvalue route does; _closed_form takes it as given
+    asymmetric = np.diag([0.3, 0.2, 0.1])
+    asymmetric[0, 1] = 0.05
+    for view in (geometric_discord_closed, q_lower_bound):
+        for bad in (asymmetric, np.array([np.eye(3), asymmetric])):
+            with pytest.raises(ValueError, match="symmetric"):
+                view(bad)
+        for shape in ((3,), (2, 2), (3, 4), (5, 3, 2)):
+            with pytest.raises(ValueError, match="3x3"):
+                view(np.zeros(shape))
+        # a nested list is taken as its float array
+        assert view(np.eye(3).tolist()) == view(np.eye(3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 51])
+def test_s_matrix_is_exactly_symmetric(d, n):
+    # the report path and the campaigns hand s_matrix output to the closed form unchecked
+    rng = np.random.default_rng(1000 * d + n)
+    rho = random_density_matrix(2 * d, rng.integers(1, 2 * d + 1, n), seed=rng)
+    record = bloch_decompose(rho, d)
+    for exponent in (-150, -50, 0, 50, 150):
+        scale = 10.0 ** exponent * rng.uniform(0.5, 2.0, (n, 1))
+        scaled = BlochRecord(x=record.x * scale, y=record.y * scale,
+                             C=record.C * scale[..., None])
+        s = s_matrix(scaled, d)
+        assert np.array_equal(s, s.swapaxes(-1, -2)), exponent
+    # non-contiguous views, as the trajectory reads x and C off R[:, 1:, 0] and R[:, 1:, 1:]
+    big = rng.standard_normal((n, 4, d * d))
+    views = BlochRecord(x=big[:, 1:, 0], y=big[:, 0, 1:], C=big[:, 1:, 1:])
+    assert not views.C.flags.c_contiguous
+    s = s_matrix(views, d)
+    assert np.array_equal(s, s.swapaxes(-1, -2))
+
+
 def test_q_bound_degenerate_equality():
     assert q_lower_bound(np.diag([0.25, 0.25, 0.25])) == pytest.approx(1.0, abs=1e-15)
 
