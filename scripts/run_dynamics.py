@@ -18,6 +18,7 @@ from qcorr import (
     make_trajectory,
     one_sided_slopes,
 )
+from qcorr.channels import _MIN_TRANSITION_POINTS
 from qcorr.io import format_float, serialize_trajectory
 
 STATES = {
@@ -26,10 +27,19 @@ STATES = {
 }
 
 
+def grid_points(text: str) -> int:
+    """--points: an integer, at least the points the transition search needs."""
+    points = int(text)
+    if points < _MIN_TRANSITION_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"the transition search needs at least {_MIN_TRANSITION_POINTS} points, got {points}")
+    return points
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="data")
-    parser.add_argument("--points", type=int, default=251)
+    parser.add_argument("--points", type=grid_points, default=251)
     parser.add_argument("--include-local-bloch", action="store_true",
                         help="fold the damping-induced local polarization into S")
     args = parser.parse_args()

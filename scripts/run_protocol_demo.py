@@ -24,14 +24,26 @@ from qcorr import (
 from qcorr.io import format_float
 
 
+def seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's SeedSequence takes."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--c", nargs=3, type=float, default=[0.5, -0.3, 0.2],
                         metavar=("C1", "C2", "C3"))
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=seed, default=7)
     args = parser.parse_args()
 
-    rho = BellDiagonalState(*args.c).density_matrix()
+    try:
+        state = BellDiagonalState(*args.c)
+    except ValueError as exc:  # outside the Bell tetrahedron, or not finite
+        parser.error(f"argument --c: {exc}")
+    rho = state.density_matrix()
     direct, tomography = measurement_budget(2)
     print(f"readout budget: direct {direct} vs full reconstruction {tomography}")
 

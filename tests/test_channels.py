@@ -301,6 +301,14 @@ def test_evolve_rejects_non_finite_and_negative_times(t):
         evolve(np.eye(4) / 4.0, t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_evolve_refuses_a_non_finite_state(bad):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="rho0 must be finite"):
+        evolve(rho, 0.1)
+
+
 @pytest.mark.parametrize("grid", [{"dt": np.inf}, {"t_max": np.inf}])
 def test_trajectory_rejects_non_finite_grid(grid):
     with pytest.raises(ValueError, match="finite"):
