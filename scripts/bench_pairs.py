@@ -5,11 +5,19 @@ Usage: python scripts/bench_pairs.py OTHER_ROOT --workload W [--pairs N]
                                      [--seconds S] [--first-seed K]
 
 Pair i runs ``bench/run.py --workload W --seed K+i --seconds S --trace 0``
-once in this checkout and once in OTHER_ROOT (for example a copy of the
+once for this checkout and once for OTHER_ROOT (for example a copy of the
 parent commit), each side with its own ``bench/run.py``, which imports
 the ``src`` beside it. The side that runs first alternates from pair to
 pair, OTHER_ROOT first in the first pair, so that a drift of the host
 does not favour one side.
+
+Each run works on a fresh copy of its side's ``bench`` and ``src`` without
+their ``__pycache__`` directories, under PYTHONDONTWRITEBYTECODE=1, as a
+benchmark run on a new checkout does: both sides compile their own modules
+from source whatever bytecode either tree holds, while numpy and the
+standard library load their installed bytecode. (An empty
+PYTHONPYCACHEPREFIX would also compile numpy in every set-up probe:
+campaign setup_s 0.15 -> 0.54 s and peak_rss_mb +2.7 MB on both sides.)
 
 The script prints each pair's values, then one line per end-to-end
 metric of this checkout's BENCHMARK.json: the median of each side, the
@@ -21,22 +29,32 @@ checks or prints no result. Standard library only.
 """
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("other", "this")
+#: the parts of a checkout a benchmark run reads
+COPIED = ("bench", "src")
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``root``: its final JSON summary, with
-    ``correct`` false when the run printed none."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=False)
+    """One ``bench/run.py`` run on a bytecode-free copy of ``root``'s ``bench`` and
+    ``src``: its final JSON summary, with ``correct`` false when the run printed none."""
+    with tempfile.TemporaryDirectory() as copy:
+        for part in COPIED:
+            shutil.copytree(root / part, Path(copy, part),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=copy, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, check=False)
     try:
         summary = json.loads(proc.stdout.splitlines()[-1])
     except (IndexError, ValueError):
@@ -123,7 +141,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     print(f"workload {args.workload}: {args.pairs} pairs of {seconds:g} s runs, seeds "
-          f"{args.first_seed}..{args.first_seed + args.pairs - 1}; other = {args.other_root}")
+          f"{args.first_seed}..{args.first_seed + args.pairs - 1}; other = {args.other_root}; "
+          f"each run on a copy without __pycache__, PYTHONDONTWRITEBYTECODE=1")
     results = run_pairs(args.other_root.resolve(), args.workload, args.pairs, seconds,
                         args.first_seed)
     print(report(results, summarize(results, spec["end_to_end"]), spec["end_to_end"]))

@@ -18,11 +18,16 @@ arrays of O(d^2) entries.
 ``random_density_matrix`` draws a stack of Ginibre states of mixed rank,
 or a block of such stacks with one random stream per row, in one padded
 (dim x dim) matrix product, bit for bit the states and random streams of
-one call per state.
+one call per state. Each row's normals go straight into one buffer and are
+scattered into G through float-view offsets cached per dim and rank
+sequence. Each state's floats are multiplied by 1 / trace, and by 0.5 after
+hermitisation: the bits numpy's division by a real c + 0i gives (see
+``random_density_matrix``).
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +156,17 @@ def bloch_decompose(rho: np.ndarray, d: int | None = None) -> BlochRecord:
     return BlochRecord(x=coords[..., :3, -1], y=coords[..., 3, :-1], C=coords[..., :3, :-1])
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a plain int (numpy integers included), or a ValueError naming
+    ``name``: bools are refused, as state files refuse JSON true as a number."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidStateError unless rho is Hermitian, unit trace and PSD, in that
     order; one ``hermitian_eigenvalues`` call checks Hermiticity and gives the spectrum."""
@@ -175,12 +191,24 @@ def check_density_matrix(rho: np.ndarray) -> None:
         )
 
 
-@functools.cache
-def _column_index(dim: int) -> np.ndarray:
-    """(2, dim, dim) column index of each real and imaginary entry of a dim x dim G."""
-    index = np.broadcast_to(np.arange(dim), (2, dim, dim)).copy()
-    index.setflags(write=False)
-    return index
+# maxsize 16: an entry holds 2 * dim * sum(ranks) intp offsets, at most two per complex
+# entry of the G it fills, so it takes at most that G's bytes (16 per entry) plus its key
+# (8 per state). A campaign block holds at most batch.CHUNK_ENTRIES = 2^16 complex
+# entries unless one sample alone is larger, so there an entry is at most 1 MiB and the
+# cache at most 16 MiB; a campaign whose n fits in one chunk reuses one entry per dimension
+@functools.lru_cache(maxsize=16)
+def _fill_offsets(dim: int, ranks: bytes) -> np.ndarray:
+    """Read-only float-view offsets in a zero (n, dim, dim) complex G of the normals its
+    states take, in draw order: per state the real parts of the first rank columns, row
+    by row, then the imaginary parts. ``ranks`` holds the n ranks as int64 bytes, so a
+    rank sequence has one key whatever its integer dtype."""
+    ranks = np.frombuffer(ranks, dtype=np.int64)
+    # float-view offset of each (state, part, row, column) of G
+    at = (np.arange(ranks.size)[:, None, None, None] * (2 * dim * dim)
+          + np.arange(2 * dim * dim).reshape(dim, dim, 2).transpose(2, 0, 1))
+    offsets = at[np.broadcast_to(np.arange(dim) < ranks[:, None, None, None], at.shape)]
+    offsets.setflags(write=False)
+    return offsets
 
 
 def random_density_matrix(
@@ -189,7 +217,8 @@ def random_density_matrix(
 ) -> np.ndarray:
     """Random density matrix G G^dag / tr[G G^dag] with Ginibre G of rank ``rank``.
 
-    ``rank`` (default dim) is an int in [1, dim] for one (dim, dim) state, a
+    ``dim`` is an integer (numpy integers included, bools refused), and ``rank``
+    (default dim) is an int in [1, dim] for one (dim, dim) state, a
     1-D int sequence for a (len(rank), dim, dim) stack, one state per entry, or
     a 2-D (rows, n) int array for a (rows, n, dim, dim) block with one seed per
     row in a list or tuple ``seed``: row j is the stack
@@ -197,14 +226,23 @@ def random_density_matrix(
     Every state's G is a dim x dim matrix whose columns from ``rank`` on are
     zero, filled with the 2 * dim * rank normals the state takes from its
     row's stream; the whole block is then one matrix product, one trace
-    normalisation and one hermitisation, both in place. One state is the same
-    product as an item of a stack, so a stack is bit for bit the states
-    one-at-a-time calls draw from the same stream, and since a Generator
-    carries its stream across calls, consecutive calls on the same Generators
-    give the bits of one call over the concatenated ranks. Padding costs
-    dim / rank times the flops of a dim x rank G.
+    normalisation and one hermitisation. Normalisation and halving multiply
+    the float view of each state by 1 / tr[G G^dag] and then by 0.5: dividing
+    a complex entry a + bi by the real c + 0i, numpy runs Smith's algorithm,
+    ((a + b * 0) * (1 / c), (b - a * 0) * (1 / c)), which is (a / c, b / c) in
+    the same bits unless a or b is exactly zero. No entry has an exactly zero
+    part where it would matter: a diagonal entry has a positive real part (and
+    after hermitisation an imaginary part of +0.0), and an off-diagonal entry
+    of a Gram matrix of Gaussian draws has neither part zero, with probability
+    one.
+    One state is the same product as an item of a stack, so a stack is bit
+    for bit the states one-at-a-time calls draw from the same stream, and
+    since a Generator carries its stream across calls, consecutive calls on
+    the same Generators give the bits of one call over the concatenated
+    ranks. Padding costs dim / rank times the flops of a dim x rank G.
     Deterministic for fixed integer seeds; Generators may be passed instead.
     """
+    dim = _integer(dim, "dim")
     ranks = np.asarray(dim if rank is None else rank)
     if ranks.ndim > 2 or ranks.size == 0 or ranks.dtype.kind not in "iu":
         raise ValueError(f"rank must be an integer or a 1-D or 2-D integer array, got {rank!r}")
@@ -219,19 +257,21 @@ def random_density_matrix(
     rows = ranks.reshape(len(seeds), -1).tolist()
     if min(map(min, rows)) < 1 or max(map(max, rows)) > dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    # each state takes its 2 * dim * rank normals as (2, dim, rank) in C order: the real
-    # parts of the first rank columns of G, then the imaginary parts, written straight
-    # into G's float view; the rows' streams follow one another in the block's C order
-    draws = [np.random.default_rng(s).standard_normal(2 * dim * sum(row))  # a Generator as is
-             for s, row in zip(seeds, rows)]
+    # the rows' streams follow one another in the block's C order, each drawn straight
+    # into its slice of one buffer, then scattered into G's float view
+    offsets = _fill_offsets(dim, ranks.astype(np.int64).tobytes())
+    normals = np.empty(offsets.size)
+    stop = 0
+    for s, row in zip(seeds, rows):
+        start, stop = stop, stop + 2 * dim * sum(row)
+        np.random.default_rng(s).standard_normal(out=normals[start:stop])  # a Generator as is
     g = np.zeros((ranks.size, dim, dim), dtype=complex)
-    parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
-    parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = \
-        draws[0] if len(draws) == 1 else np.concatenate(draws)
+    g.view(float).reshape(-1)[offsets] = normals
     h = g @ g.conj().swapaxes(1, 2)
-    h /= h.trace(axis1=1, axis2=2).real[:, None, None]
+    floats = h.view(float).reshape(ranks.size, -1)
+    floats *= 1.0 / h.trace(axis1=1, axis2=2).real[:, None]
     h += h.conj().swapaxes(1, 2)
-    h /= 2.0
+    floats *= 0.5
     return h.reshape(ranks.shape + (dim, dim))
 
 

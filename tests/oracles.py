@@ -4,16 +4,17 @@ The library evolves relaxation through Pauli transfer matrices; the
 operator-sum Kraus sets here are the independent model those matrices
 are checked against. A Kraus set is a tuple of 2x2 operators. The scalar
 spin-spin coupling is a separate unitary; Bell-diagonal states are
-invariant under it. The second half keeps the report kernel, the batch
-campaigns, the PTM build and the JSON renderers in their first form, the
-byte-level reference of the library's.
+invariant under it. The second half keeps the Ginibre sampler, the report
+kernel, the batch campaigns, the PTM build and the JSON renderers in their
+first form, the byte-level reference of the library's.
 """
+import functools
 import json
 
 import numpy as np
 
 from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL
-from qcorr.bloch import PAULIS, SIGMA_Z, bloch_decompose, random_density_matrix
+from qcorr.bloch import PAULIS, SIGMA_Z, bloch_decompose
 from qcorr.eigen import hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 
@@ -61,7 +62,8 @@ def j_coupling_unitary(j: float, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The report kernel, the campaigns and the PTM build as first written, arithmetic verbatim.
+# The sampler, the report kernel, the campaigns and the PTM build as first written,
+# arithmetic verbatim.
 # The library computes the same floating-point operations in the same order
 # with fewer numpy calls; test_bit_identity.py holds it to these bytes.
 
@@ -73,6 +75,51 @@ _BALL_TRACE_WEIGHTS = np.zeros(32)
 _BALL_TRACE_WEIGHTS[::10] = np.sqrt(1.0 / 3.0 - _PPT_BALL_MARGIN)
 _PAULI_1Q = np.array([np.eye(2), *PAULIS])
 _PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _PAULI_1Q, _PAULI_1Q).reshape(4, 4, 4, 4)
+
+
+@functools.cache
+def _column_index(dim: int) -> np.ndarray:
+    """(2, dim, dim) column index of each real and imaginary entry of a dim x dim G."""
+    index = np.broadcast_to(np.arange(dim), (2, dim, dim)).copy()
+    index.setflags(write=False)
+    return index
+
+
+def random_density_matrix(
+    dim: int, rank: int | np.ndarray | None = None,
+    seed: int | np.random.Generator | list | tuple = 0,
+) -> np.ndarray:
+    """The Ginibre sampler as first written: one array of normals per row, joined with
+    ``np.concatenate`` and written through a boolean mask into a transposed view of G's
+    floats; the trace normalisation and the halving divide the complex entries."""
+    ranks = np.asarray(dim if rank is None else rank)
+    if ranks.ndim > 2 or ranks.size == 0 or ranks.dtype.kind not in "iu":
+        raise ValueError(f"rank must be an integer or a 1-D or 2-D integer array, got {rank!r}")
+    if ranks.ndim < 2:
+        seeds = [seed]
+    elif isinstance(seed, (list, tuple)) and len(seed) == len(ranks):
+        seeds = seed
+    else:
+        raise ValueError(f"a rank of shape {ranks.shape} takes a list of {len(ranks)} seeds, "
+                         f"got {seed!r}")
+    # builtin min/max/sum: cheaper than numpy's on a few ranks, and no integer overflow
+    rows = ranks.reshape(len(seeds), -1).tolist()
+    if min(map(min, rows)) < 1 or max(map(max, rows)) > dim:
+        raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
+    # each state takes its 2 * dim * rank normals as (2, dim, rank) in C order: the real
+    # parts of the first rank columns of G, then the imaginary parts, written straight
+    # into G's float view; the rows' streams follow one another in the block's C order
+    draws = [np.random.default_rng(s).standard_normal(2 * dim * sum(row))  # a Generator as is
+             for s, row in zip(seeds, rows)]
+    g = np.zeros((ranks.size, dim, dim), dtype=complex)
+    parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
+    parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = \
+        draws[0] if len(draws) == 1 else np.concatenate(draws)
+    h = g @ g.conj().swapaxes(1, 2)
+    h /= h.trace(axis1=1, axis2=2).real[:, None, None]
+    h += h.conj().swapaxes(1, 2)
+    h /= 2.0
+    return h.reshape(ranks.shape + (dim, dim))
 
 
 def s_matrix(x: np.ndarray, c: np.ndarray, d: int) -> np.ndarray:

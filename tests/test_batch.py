@@ -9,7 +9,7 @@ import qcorr.batch
 from qcorr import (bloch_decompose, geometric_discord_closed, geometric_discord_eig, negativity,
                    q_lower_bound, random_density_matrix, s_matrix)
 from qcorr.batch import CLOSED_VS_EIG_TOL, MIXED_BOUND_TOL, ORDER_TOL, PURE_IDENTITY_TOL, \
-    CampaignResult, _score, run_batch_campaigns
+    CampaignResult, _score, render_batch_report, run_batch_campaigns
 
 
 def one_at_a_time_campaigns(n, seed, dims):
@@ -149,3 +149,39 @@ def test_blocks_stay_within_chunk_entries(monkeypatch):
     assert {shape[-1] for shape, _ in blocks} == {2 * d for d in dims}
     assert sum(shape[1] for shape, _ in blocks if shape[-1] == 64) == 300
     assert all(size <= qcorr.batch.CHUNK_ENTRIES or shape[1] == 1 for shape, size in blocks)
+
+
+@pytest.mark.parametrize("n, dims, name", [
+    (1.5, (2,), "n"), (float("nan"), (2,), "n"), ("3", (2,), "n"), (True, (2,), "n"),
+    (np.True_, (2,), "n"), (2, (2.0,), "every entry of dims"), (2, ("3",), "every entry of dims"),
+    (2, (3, True), "every entry of dims"),
+])
+def test_non_integer_inputs_are_refused(n, dims, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        run_batch_campaigns(n, 1, dims)
+
+
+def test_numpy_integer_inputs_give_plain_int_samples():
+    want = run_batch_campaigns(2, 5, (2, 3))
+    got = run_batch_campaigns(np.int64(2), 5, (np.int8(2), np.uint16(3)))
+    assert report_fields(got) == report_fields(want)
+    assert all(type(r.samples) is int for r in got)
+    for fmt in ("json", "text"):
+        assert render_batch_report(got, fmt) == render_batch_report(want, fmt)
+
+
+def test_layout_cache_is_bounded_and_read_only():
+    # one layout per dims tuple, at most maxsize of them, none of it writable
+    cached = qcorr.batch._layout
+    cached.cache_clear()
+    run_batch_campaigns(1, 0, (2, 3))
+    run_batch_campaigns(1, 1, [np.int64(2), 3])
+    info = cached.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    blocks, tolerances, names = cached((2, 3))
+    arrays = [tolerances] + [a for _, rows, ranks in blocks for a in (rows, ranks)]
+    assert not any(a.flags.writeable for a in arrays)
+    assert isinstance(blocks, tuple) and isinstance(names, tuple)
+    for d in range(2, info.maxsize + 10):
+        cached((d,))
+    assert cached.cache_info().currsize == info.maxsize == 32

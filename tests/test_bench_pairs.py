@@ -1,5 +1,7 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on synthetic runs: no benchmark runs."""
+"""The summary arithmetic and the run set-up of scripts/bench_pairs.py, on synthetic runs: no
+benchmark runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,3 +79,23 @@ def test_sides_alternate_and_a_failed_run_exits_1(tmp_path, monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:  # no benchmark to run there
         bench_pairs.main([str(tmp_path / "bench"), "--workload", "single_state"])
     assert exc.value.code == 2
+
+
+def test_each_run_compiles_a_bytecode_free_copy(tmp_path, monkeypatch):
+    # both sides compile their modules from source, whatever __pycache__ either tree holds
+    for part in bench_pairs.COPIED:
+        (tmp_path / part / "__pycache__").mkdir(parents=True)
+        (tmp_path / part / "__pycache__" / "stale.cpython-311.pyc").touch()
+        (tmp_path / part / "module.py").touch()
+    seen = {}
+
+    def fake_run(args, cwd, env, **kwargs):
+        seen.update(args=args, env=env, files=sorted(
+            str(path.relative_to(cwd)) for path in Path(cwd).rglob("*")))
+        return subprocess.CompletedProcess(args, 0, '{"correct": true, "metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_bench(tmp_path, "campaign", 3, 1.0)["correct"] is True
+    assert seen["args"][1:3] == ["bench/run.py", "--workload"]
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert seen["files"] == ["bench", "bench/module.py", "src", "src/module.py"]

@@ -1,9 +1,9 @@
-"""The report kernel and the PTM build keep the bytes of their first form.
+"""The sampler, the report kernel and the PTM build keep the bytes of their first form.
 
-``tests/oracles.py`` holds the arithmetic of S, the trace invariants, the
-closed form, Q, the eigenvalue route, the Bell gate, q_n, the negativity
-(purity test, then spectrum), the batch campaigns, the local PTM and the
-relaxation as first written. The library computes the same
+``tests/oracles.py`` holds the Ginibre sampler, the arithmetic of S, the
+trace invariants, the closed form, Q, the eigenvalue route, the Bell gate,
+q_n, the negativity (purity test, then spectrum), the batch campaigns, the
+local PTM and the relaxation as first written. The library computes the same
 floating-point operations in the same order with fewer numpy calls; these
 tests compare every column with ``.tobytes()``, so a reordered product or
 a lost -0.0 shows, as does a NaN where a number was (or the reverse).
@@ -109,6 +109,26 @@ def test_report_columns_keep_their_bytes(seed, d, n, kind):
         assert_report_bits(BlochRecord(*(a[:4].reshape((2, 2) + a.shape[1:])
                                          for a in (record.x, record.y, record.C))),
                            rho[:4].reshape(2, 2, 2 * d, 2 * d) if d == 2 else None)
+
+
+@given(st.integers(2, 16), st.integers(1, 3), st.integers(1, 12), st.data())
+@settings(max_examples=150)
+def test_sampler_keeps_its_bytes(dim, rows, n, data):
+    # every state of the sampler is its first form's: a scalar and a 1-D rank on an int
+    # seed, and two consecutive 2-D blocks on the same one to three Generators
+    dtype = data.draw(st.sampled_from([np.int8, np.uint8, np.int16, np.int64]))
+    pure = data.draw(st.booleans())  # rank-1 rows: pure states
+    ranks = [1] * (rows * n) if pure else data.draw(
+        st.lists(st.integers(1, dim), min_size=rows * n, max_size=rows * n))
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=rows, max_size=rows))
+    ranks = np.array(ranks, dtype=dtype).reshape(rows, n)
+    for rank in (ranks[0, 0], ranks[0]):
+        assert same_bits(random_density_matrix(dim, rank, seeds[0]),
+                         oracles.random_density_matrix(dim, rank, seeds[0]))
+    got, want = ([np.random.default_rng(seed) for seed in seeds] for _ in range(2))
+    for _ in range(2):
+        assert same_bits(random_density_matrix(dim, ranks, got),
+                         oracles.random_density_matrix(dim, ranks, want))
 
 
 def random_symmetric(rng, n, kind):

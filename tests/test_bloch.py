@@ -14,6 +14,7 @@ from qcorr import (
     gellmann_basis,
     random_density_matrix,
 )
+import qcorr.bloch
 from qcorr.bloch import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -261,6 +262,38 @@ def test_stacked_draw_narrow_integer_ranks():
     rng = np.random.default_rng(1)
     for rho, rank in zip(stacked, ranks):
         assert np.array_equal(rho, random_density_matrix(50, rank=int(rank), seed=rng))
+
+
+def test_fill_offsets_cache_is_bounded_and_read_only():
+    # one key per dim and rank sequence, whatever the ranks' integer dtype or shape;
+    # at most maxsize keys, each 2 * dim * sum(ranks) read-only offsets
+    cached = qcorr.bloch._fill_offsets
+    cached.cache_clear()
+    for rank, seed in (([1, 2, 4], 0), (np.array([1, 2, 4], dtype=np.int8), 0),
+                       (np.array([[1, 2, 4]], dtype=np.uint8), [0])):
+        assert random_density_matrix(4, rank, seed).tobytes() == \
+            random_density_matrix(4, [1, 2, 4], 0).tobytes()
+    info = cached.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    offsets = cached(4, np.array([1, 2, 4], dtype=np.int64).tobytes())
+    assert offsets.size == 2 * 4 * 7 and not offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 0
+    for rank in range(1, info.maxsize + 10):
+        random_density_matrix(info.maxsize + 10, rank)
+    assert cached.cache_info().currsize == info.maxsize == 16
+
+
+@pytest.mark.parametrize("dim", [4.0, "4", True, np.True_, None, np.float64(4.0)])
+def test_random_density_matrix_refuses_a_non_integer_dim(dim):
+    with pytest.raises(ValueError, match="^dim must be an integer, got "):
+        random_density_matrix(dim, 1)
+
+
+def test_random_density_matrix_takes_numpy_integer_dims():
+    for dim in (np.int64(4), np.uint8(4), np.int8(4)):
+        assert random_density_matrix(dim, 2, 7).tobytes() == \
+            random_density_matrix(4, 2, 7).tobytes()
 
 
 def rows_of_seeds(data, int_seeds, rows):
