@@ -24,13 +24,10 @@ violations and the worst value accumulate across chunks. Each campaign's
 generator carries its stream from chunk to chunk, so the chunk size never
 shows in a report, and memory stays flat in n: no block holds more than
 CHUNK_ENTRIES complex entries unless the rows of one sample alone do
-(then c = 1). What depends on dims alone (the rows of each block, their
-rank cycles, the tolerances and the campaign names) is built once per dims
-tuple and kept in a bounded cache; c is worked out on every call.
+(then c = 1).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,35 +59,6 @@ def _score(table: np.ndarray, tolerances: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.count_nonzero(~(table <= tolerances[:, None]), axis=1), np.max(table, axis=1)
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.array(values)
-    array.setflags(write=False)
-    return array
-
-
-# maxsize 32: an entry holds, per dimension, two campaign names, two tolerances, a row
-# index and a rank cycle, about 0.5 KB per dimension (tracemalloc, 3 to 300 dimensions),
-# so 32 dims tuples of up to ten dimensions take at most about 160 KB
-@functools.lru_cache(maxsize=32)
-def _layout(dims: tuple[int, ...]) -> tuple[tuple, np.ndarray, tuple[str, ...]]:
-    """Per dims tuple: per block (d, its rows, their (rows, 1) rank cycles), one block per
-    dimension, its rows ascending, so the two-qubit rows close the d = 2 block; then the
-    tolerance of each row of the check table and the campaign names. Arrays are read-only."""
-    k = len(dims)
-    # rows: each 2 x d pair, then mixed and pure two qubits; ranks cycle 1..max_rank
-    max_ranks = np.array([2 * d for d in dims] + [4, 1])
-    rows_of = {}
-    for row, d in enumerate(dims + (2, 2)):
-        rows_of.setdefault(d, []).append(row)
-    blocks = tuple((d, _frozen(rows), _frozen(max_ranks[rows, None]))
-                   for d, rows in rows_of.items())
-    tolerances = _frozen([CLOSED_VS_EIG_TOL, ORDER_TOL] * k + [MIXED_BOUND_TOL,
-                                                                PURE_IDENTITY_TOL])
-    names = tuple(f"{check}[d={d}]" for d in dims
-                  for check in ("closed_vs_eig", "order_q_le_dg"))
-    return blocks, tolerances, names + ("mixed_dg_ge_nsq", "pure_dg_eq_nsq")
-
-
 def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
     """Run every campaign with n samples each; deterministic in seed.
 
@@ -101,11 +69,19 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
         raise ValueError(f"n must be at least 1, got {n}")
     dims = tuple(_integer(d, "every entry of dims") for d in dims)
     k = len(dims)
-    blocks, tolerances, names = _layout(dims)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(k + 2)]
-    chunk = max(1, CHUNK_ENTRIES // max(rows.size * 4 * d * d for d, rows, _ in blocks))
-    # per block, fixed across chunks: its rows, their rank cycles, their generators
-    blocks = [(d, rows, ranks, [rngs[row] for row in rows.tolist()]) for d, rows, ranks in blocks]
+    # rows: each 2 x d pair, then mixed and pure two qubits; ranks cycle 1..max_rank
+    max_ranks = np.array([2 * d for d in dims] + [4, 1])
+    # one block per dimension, its rows ascending, so the two-qubit rows close the d = 2 block
+    rows_of = {}
+    for row, d in enumerate(dims + (2, 2)):
+        rows_of.setdefault(d, []).append(row)
+    chunk = max(1, CHUNK_ENTRIES // max(len(rows) * 4 * d * d for d, rows in rows_of.items()))
+    # per block, fixed across chunks: its rows, their (rows, 1) rank cycles, their generators
+    blocks = [(d, rows, max_ranks[rows, None], [rngs[row] for row in rows])
+              for d, rows in rows_of.items()]
+    tolerances = np.array([CLOSED_VS_EIG_TOL, ORDER_TOL] * k + [MIXED_BOUND_TOL,
+                                                                 PURE_IDENTITY_TOL])
     violations, worst = np.zeros(2 * k + 2, dtype=int), np.full(2 * k + 2, -np.inf)
     for start in range(0, n, chunk):
         index = np.arange(start, min(start + chunk, n))
@@ -131,6 +107,8 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
         count, top = _score(table, tolerances)
         violations += count
         worst = np.maximum(worst, top)  # NaN stays NaN
+    names = [f"{check}[d={d}]" for d in dims for check in ("closed_vs_eig", "order_q_le_dg")]
+    names += ["mixed_dg_ge_nsq", "pure_dg_eq_nsq"]
     return [CampaignResult(name, n, *values) for name, *values
             in zip(names, violations.tolist(), worst.tolist(), tolerances.tolist())]
 

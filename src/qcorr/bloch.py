@@ -18,11 +18,13 @@ arrays of O(d^2) entries.
 ``random_density_matrix`` draws a stack of Ginibre states of mixed rank,
 or a block of such stacks with one random stream per row, in one padded
 (dim x dim) matrix product, bit for bit the states and random streams of
-one call per state. Each row's normals go straight into one buffer and are
-scattered into G through float-view offsets cached per dim and rank
-sequence. Each state's floats are multiplied by 1 / trace, and by 0.5 after
-hermitisation: the bits numpy's division by a real c + 0i gives (see
-``random_density_matrix``).
+one call per state. Each row's normals go straight into one buffer, which
+a boolean mask over G's float view writes into G. For blocks of up to
+2^17 normals, a campaign chunk's size, the mask's offsets are kept in a
+bounded cache per dim and rank sequence, so a repeated block is one fancy
+assignment. Each state's floats are multiplied by 1 / trace, and by 0.5
+after hermitisation: the bits numpy's division by a real c + 0i gives
+(see ``random_density_matrix``).
 """
 from __future__ import annotations
 
@@ -191,22 +193,32 @@ def check_density_matrix(rho: np.ndarray) -> None:
         )
 
 
-# maxsize 16: an entry holds 2 * dim * sum(ranks) intp offsets, at most two per complex
-# entry of the G it fills, so it takes at most that G's bytes (16 per entry) plus its key
-# (8 per state). A campaign block holds at most batch.CHUNK_ENTRIES = 2^16 complex
-# entries unless one sample alone is larger, so there an entry is at most 1 MiB and the
-# cache at most 16 MiB; a campaign whose n fits in one chunk reuses one entry per dimension
+@functools.cache
+def _column_index(dim: int) -> np.ndarray:
+    """(2, dim, dim) column index of each real and imaginary entry of a dim x dim G."""
+    index = np.broadcast_to(np.arange(dim), (2, dim, dim)).copy()
+    index.setflags(write=False)
+    return index
+
+
+#: most normals a block may take for its fill offsets to be cached: two per complex entry
+#: of a campaign block of batch.CHUNK_ENTRIES = 2^16 entries
+_CACHED_NORMALS = 2**17
+
+
+# maxsize 16, and only blocks of at most _CACHED_NORMALS normals: an entry holds their
+# intp offsets (at most 1 MiB) and its key (8 bytes per state, and a state takes at least
+# 2 normals, so at most 512 KiB), so the cache holds at most 24 MiB. A campaign chunk
+# takes one entry per dimension, the same entry in every chunk whose start falls at the
+# same point of the block's rank cycles
 @functools.lru_cache(maxsize=16)
 def _fill_offsets(dim: int, ranks: bytes) -> np.ndarray:
-    """Read-only float-view offsets in a zero (n, dim, dim) complex G of the normals its
-    states take, in draw order: per state the real parts of the first rank columns, row
-    by row, then the imaginary parts. ``ranks`` holds the n ranks as int64 bytes, so a
-    rank sequence has one key whatever its integer dtype."""
+    """Read-only offsets, in the float view of an (n, dim, dim) complex G, of the normals
+    that n states of these ranks take, in draw order: the fill's boolean mask applied to
+    an index array. ``ranks`` holds int64 bytes, so every integer dtype has one key."""
     ranks = np.frombuffer(ranks, dtype=np.int64)
-    # float-view offset of each (state, part, row, column) of G
-    at = (np.arange(ranks.size)[:, None, None, None] * (2 * dim * dim)
-          + np.arange(2 * dim * dim).reshape(dim, dim, 2).transpose(2, 0, 1))
-    offsets = at[np.broadcast_to(np.arange(dim) < ranks[:, None, None, None], at.shape)]
+    at = np.arange(ranks.size * 2 * dim * dim).reshape(ranks.size, dim, dim, 2)
+    offsets = at.transpose(0, 3, 1, 2)[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)]
     offsets.setflags(write=False)
     return offsets
 
@@ -227,14 +239,16 @@ def random_density_matrix(
     zero, filled with the 2 * dim * rank normals the state takes from its
     row's stream; the whole block is then one matrix product, one trace
     normalisation and one hermitisation. Normalisation and halving multiply
-    the float view of each state by 1 / tr[G G^dag] and then by 0.5: dividing
-    a complex entry a + bi by the real c + 0i, numpy runs Smith's algorithm,
-    ((a + b * 0) * (1 / c), (b - a * 0) * (1 / c)), which is (a / c, b / c) in
-    the same bits unless a or b is exactly zero. No entry has an exactly zero
-    part where it would matter: a diagonal entry has a positive real part (and
-    after hermitisation an imaginary part of +0.0), and an off-diagonal entry
-    of a Gram matrix of Gaussian draws has neither part zero, with probability
-    one.
+    the float view of each state by 1 / c, with c = tr[G G^dag] and then
+    c = 2, where numpy divided each complex entry a + bi by c + 0i with
+    Smith's algorithm, ((a + b * 0) * (1 / c), (b - a * 0) * (1 / c)). For
+    finite a and b that is (a * (1 / c), b * (1 / c)) in the same bits when
+    a > 0, or when neither part is zero. Normalisation: a diagonal entry has
+    a > 0, whatever its b, and an off-diagonal entry of a Gram matrix of
+    Gaussian draws has neither part zero, with probability one. Halving:
+    hermitisation leaves each diagonal entry a > 0 (and b = +0.0), and each
+    off-diagonal entry, a sum of two such entries, with neither part zero,
+    with probability one.
     One state is the same product as an item of a stack, so a stack is bit
     for bit the states one-at-a-time calls draw from the same stream, and
     since a Generator carries its stream across calls, consecutive calls on
@@ -257,16 +271,22 @@ def random_density_matrix(
     rows = ranks.reshape(len(seeds), -1).tolist()
     if min(map(min, rows)) < 1 or max(map(max, rows)) > dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    # the rows' streams follow one another in the block's C order, each drawn straight
-    # into its slice of one buffer, then scattered into G's float view
-    offsets = _fill_offsets(dim, ranks.astype(np.int64).tobytes())
-    normals = np.empty(offsets.size)
+    # each state takes its 2 * dim * rank normals as (2, dim, rank) in C order: the real
+    # parts of the first rank columns of G, then the imaginary parts, written straight
+    # into G's float view; the rows' streams follow one another in the block's C order,
+    # each drawn straight into its slice of one buffer
+    sizes = [2 * dim * sum(row) for row in rows]
+    normals = np.empty(sum(sizes))
     stop = 0
-    for s, row in zip(seeds, rows):
-        start, stop = stop, stop + 2 * dim * sum(row)
+    for s, size in zip(seeds, sizes):
+        start, stop = stop, stop + size
         np.random.default_rng(s).standard_normal(out=normals[start:stop])  # a Generator as is
     g = np.zeros((ranks.size, dim, dim), dtype=complex)
-    g.view(float).reshape(-1)[offsets] = normals
+    if normals.size <= _CACHED_NORMALS:
+        g.view(float).reshape(-1)[_fill_offsets(dim, ranks.astype(np.int64).tobytes())] = normals
+    else:  # the same mask straight into G's float view, with nothing kept
+        parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
+        parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = normals
     h = g @ g.conj().swapaxes(1, 2)
     floats = h.view(float).reshape(ranks.size, -1)
     floats *= 1.0 / h.trace(axis1=1, axis2=2).real[:, None]

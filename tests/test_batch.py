@@ -168,20 +168,3 @@ def test_numpy_integer_inputs_give_plain_int_samples():
     assert all(type(r.samples) is int for r in got)
     for fmt in ("json", "text"):
         assert render_batch_report(got, fmt) == render_batch_report(want, fmt)
-
-
-def test_layout_cache_is_bounded_and_read_only():
-    # one layout per dims tuple, at most maxsize of them, none of it writable
-    cached = qcorr.batch._layout
-    cached.cache_clear()
-    run_batch_campaigns(1, 0, (2, 3))
-    run_batch_campaigns(1, 1, [np.int64(2), 3])
-    info = cached.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    blocks, tolerances, names = cached((2, 3))
-    arrays = [tolerances] + [a for _, rows, ranks in blocks for a in (rows, ranks)]
-    assert not any(a.flags.writeable for a in arrays)
-    assert isinstance(blocks, tuple) and isinstance(names, tuple)
-    for d in range(2, info.maxsize + 10):
-        cached((d,))
-    assert cached.cache_info().currsize == info.maxsize == 32

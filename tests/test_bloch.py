@@ -284,6 +284,32 @@ def test_fill_offsets_cache_is_bounded_and_read_only():
     assert cached.cache_info().currsize == info.maxsize == 16
 
 
+def test_a_large_draw_keeps_no_memory_alive():
+    # a block of more than _CACHED_NORMALS normals leaves the offsets cache as it was,
+    # and nothing of it stays behind once dropped: the sampler keeps only the
+    # (2, dim, dim) column index of each dim, built here before tracing
+    ranks = np.full(2000, 16, dtype=np.int8)
+    assert 2 * 16 * 16 * ranks.size > qcorr.bloch._CACHED_NORMALS
+    random_density_matrix(16, 1)
+    before = qcorr.bloch._fill_offsets.cache_info()
+    tracemalloc.start()
+    try:
+        rho = random_density_matrix(16, ranks, 3)
+        assert rho.nbytes == 2000 * 16 * 16 * 16
+        del rho
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096
+    assert qcorr.bloch._fill_offsets.cache_info()[:] == before[:]
+    # the uncached fill is the cached one's, bit for bit
+    small = np.array([16, 3, 1, 9], dtype=np.int8)
+    want = random_density_matrix(16, small, 5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcorr.bloch, "_CACHED_NORMALS", 0)
+        assert random_density_matrix(16, small, 5).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [4.0, "4", True, np.True_, None, np.float64(4.0)])
 def test_random_density_matrix_refuses_a_non_integer_dim(dim):
     with pytest.raises(ValueError, match="^dim must be an integer, got "):
