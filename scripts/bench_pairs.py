@@ -4,12 +4,15 @@
 Usage: python scripts/bench_pairs.py OTHER_ROOT --workload W [--pairs N]
                                      [--seconds S] [--first-seed K]
 
+N is even (default 10).
+
 Pair i runs ``bench/run.py --workload W --seed K+i --seconds S --trace 0``
 once for this checkout and once for OTHER_ROOT (for example a copy of the
 parent commit), each side with its own ``bench/run.py``, which imports
 the ``src`` beside it. The side that runs first alternates from pair to
-pair, OTHER_ROOT first in the first pair, so that a drift of the host
-does not favour one side.
+pair, OTHER_ROOT first in the first pair, so that each side runs first in
+exactly half of the pairs and a drift of the host does not favour one
+side.
 
 Each run works on a fresh copy of its side's ``bench`` and ``src`` without
 their ``__pycache__`` directories, under PYTHONDONTWRITEBYTECODE=1, as a
@@ -135,6 +138,9 @@ def main(argv=None) -> int:
                         help="length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error(f"--pairs must be a positive even number, so that each side runs first "
+                     f"in half of the pairs, got {args.pairs}")
     if not (args.other_root / "bench" / "run.py").is_file():
         parser.error(f"{args.other_root} holds no bench/run.py")
 

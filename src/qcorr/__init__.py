@@ -12,9 +12,7 @@ from .bloch import (
     InvalidStateError,
     bloch_decompose,
     check_density_matrix,
-    gellmann_basis,
     random_density_matrix,
-    random_unitary,
 )
 from .channels import (
     RelaxationParams,
@@ -62,7 +60,6 @@ __all__ = [
     "detect_transition",
     "evolve",
     "full_report",
-    "gellmann_basis",
     "geometric_discord_closed",
     "geometric_discord_eig",
     "hermitian_eigenvalues",
@@ -75,7 +72,6 @@ __all__ = [
     "one_sided_slopes",
     "q_lower_bound",
     "random_density_matrix",
-    "random_unitary",
     "report_from_record",
     "rotation_gate",
     "run_direct_protocol",

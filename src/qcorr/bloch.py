@@ -19,12 +19,9 @@ arrays of O(d^2) entries.
 or a block of such stacks with one random stream per row, in one padded
 (dim x dim) matrix product, bit for bit the states and random streams of
 one call per state. Each row's normals go straight into one buffer, which
-a boolean mask over G's float view writes into G. For blocks of up to
-2^17 normals, a campaign chunk's size, the mask's offsets are kept in a
-bounded cache per dim and rank sequence, so a repeated block is one fancy
-assignment. Each state's floats are multiplied by 1 / trace, and by 0.5
-after hermitisation: the bits numpy's division by a real c + 0i gives
-(see ``random_density_matrix``).
+a boolean mask over G's float view writes into G. Each state's floats are
+multiplied by 1 / trace, and by 0.5 after hermitisation: the bits numpy's
+division by a real c + 0i gives (see ``random_density_matrix``).
 """
 from __future__ import annotations
 
@@ -74,37 +71,6 @@ class BlochRecord:
     @property
     def d(self) -> int:
         return round((self.y.shape[-1] + 1) ** 0.5)
-
-
-def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Generalized Gell-Mann generators of SU(d), tr[t_a t_b] = 2 delta_ab.
-
-    Ordered as the d(d-1)/2 symmetric pair operators, then the
-    antisymmetric ones, then the d-1 diagonal ones; for d = 2 this
-    reproduces (sigma_x, sigma_y, sigma_z) exactly.
-    """
-    if d < 2:
-        raise ValueError(f"subsystem dimension must be at least 2, got {d}")
-    gens: list[np.ndarray] = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1
-            m[k, j] = 1
-            gens.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            gens.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(l):
-            m[j, j] = 1
-        m[l, l] = -l
-        gens.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return tuple(gens)
 
 
 #: 2 x the weights, in M_nu (nu = x, y, z, I), of the six entries _coordinate_map reads
@@ -201,28 +167,6 @@ def _column_index(dim: int) -> np.ndarray:
     return index
 
 
-#: most normals a block may take for its fill offsets to be cached: two per complex entry
-#: of a campaign block of batch.CHUNK_ENTRIES = 2^16 entries
-_CACHED_NORMALS = 2**17
-
-
-# maxsize 16, and only blocks of at most _CACHED_NORMALS normals: an entry holds their
-# intp offsets (at most 1 MiB) and its key (8 bytes per state, and a state takes at least
-# 2 normals, so at most 512 KiB), so the cache holds at most 24 MiB. A campaign chunk
-# takes one entry per dimension, the same entry in every chunk whose start falls at the
-# same point of the block's rank cycles
-@functools.lru_cache(maxsize=16)
-def _fill_offsets(dim: int, ranks: bytes) -> np.ndarray:
-    """Read-only offsets, in the float view of an (n, dim, dim) complex G, of the normals
-    that n states of these ranks take, in draw order: the fill's boolean mask applied to
-    an index array. ``ranks`` holds int64 bytes, so every integer dtype has one key."""
-    ranks = np.frombuffer(ranks, dtype=np.int64)
-    at = np.arange(ranks.size * 2 * dim * dim).reshape(ranks.size, dim, dim, 2)
-    offsets = at.transpose(0, 3, 1, 2)[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)]
-    offsets.setflags(write=False)
-    return offsets
-
-
 def random_density_matrix(
     dim: int, rank: int | np.ndarray | None = None,
     seed: int | np.random.Generator | list | tuple = 0,
@@ -239,16 +183,9 @@ def random_density_matrix(
     zero, filled with the 2 * dim * rank normals the state takes from its
     row's stream; the whole block is then one matrix product, one trace
     normalisation and one hermitisation. Normalisation and halving multiply
-    the float view of each state by 1 / c, with c = tr[G G^dag] and then
-    c = 2, where numpy divided each complex entry a + bi by c + 0i with
-    Smith's algorithm, ((a + b * 0) * (1 / c), (b - a * 0) * (1 / c)). For
-    finite a and b that is (a * (1 / c), b * (1 / c)) in the same bits when
-    a > 0, or when neither part is zero. Normalisation: a diagonal entry has
-    a > 0, whatever its b, and an off-diagonal entry of a Gram matrix of
-    Gaussian draws has neither part zero, with probability one. Halving:
-    hermitisation leaves each diagonal entry a > 0 (and b = +0.0), and each
-    off-diagonal entry, a sum of two such entries, with neither part zero,
-    with probability one.
+    the float view of each state by 1 / c, which gives the bits of numpy's
+    complex division by c + 0i with probability one (CHANGES.md gives the
+    argument, in its entry on sampling without complex division).
     One state is the same product as an item of a stack, so a stack is bit
     for bit the states one-at-a-time calls draw from the same stream, and
     since a Generator carries its stream across calls, consecutive calls on
@@ -282,26 +219,14 @@ def random_density_matrix(
         start, stop = stop, stop + size
         np.random.default_rng(s).standard_normal(out=normals[start:stop])  # a Generator as is
     g = np.zeros((ranks.size, dim, dim), dtype=complex)
-    if normals.size <= _CACHED_NORMALS:
-        g.view(float).reshape(-1)[_fill_offsets(dim, ranks.astype(np.int64).tobytes())] = normals
-    else:  # the same mask straight into G's float view, with nothing kept
-        parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
-        parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = normals
+    parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
+    parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = normals
     h = g @ g.conj().swapaxes(1, 2)
     floats = h.view(float).reshape(ranks.size, -1)
     floats *= 1.0 / h.trace(axis1=1, axis2=2).real[:, None]
     h += h.conj().swapaxes(1, 2)
     floats *= 0.5
     return h.reshape(ranks.shape + (dim, dim))
-
-
-def random_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
 
 
 @dataclass(frozen=True)

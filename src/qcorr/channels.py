@@ -9,7 +9,6 @@ tests check those matrices against the channels' operator-sum Kraus sets.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -40,7 +39,7 @@ class RelaxationParams:
     Defaults are the chloroform values: hydrogen T1 = 3.57 s, T2 = 1.2 s;
     carbon T1 = 10 s, T2 = 0.19 s; J = 215.1 Hz; eps ~ 1e-5. Every field
     must be finite and positive, and eps at most 1; each is stored as a
-    plain float, so equal parameters hash equal (a 0-d array too).
+    plain float, so a numpy float32 eps cannot round gamma to float32.
     """
 
     t1_a: float = 3.57
@@ -93,15 +92,8 @@ def apply_two_qubit_channel(rho: np.ndarray, kraus_a, kraus_b) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def _check_ptm_args(p: np.ndarray, gamma: float, lam: np.ndarray) -> None:
-    """local_ptm's range checks: p, gamma and lambda each in [0, 1]."""
-    for name, value in (("p", p), ("gamma", np.asarray(gamma)), ("lambda", lam)):
-        if not (value.min(initial=0.0) >= 0 and value.max(initial=1.0) <= 1):  # NaN fails
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 def _build_ptm(p: np.ndarray, gamma: float, lam: np.ndarray) -> np.ndarray:
-    """local_ptm of checked arrays p, lam of one shape, without the checks."""
+    """local_ptm of arrays p, lam of one shape, without the range checks."""
     ptm = np.zeros(p.shape + (4, 4))
     ptm[..., 0, 0] = 1.0
     ptm[..., 1, 1] = ptm[..., 2, 2] = np.sqrt(1.0 - p) * (1.0 - lam)
@@ -114,48 +106,27 @@ def local_ptm(p, gamma: float, lam) -> np.ndarray:
     """Pauli transfer matrix T_kl = tr[sigma_k L(sigma_l)] / 2, (I, X, Y, Z) order,
     of GAD(p, gamma) followed by PD(lam); arrays p, lam of one shape lead the (4, 4)."""
     p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
-    _check_ptm_args(p, gamma, lam)
+    for name, value in (("p", p), ("gamma", np.asarray(gamma)), ("lambda", lam)):
+        if not (value.min(initial=0.0) >= 0 and value.max(initial=1.0) <= 1):  # NaN fails
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return _build_ptm(p, gamma, lam)
-
-
-def _decays(times: np.ndarray, params: RelaxationParams) -> tuple[float, np.ndarray]:
-    """(gamma, decay) over a time grid, decay of shape (4, n_t); the time
-    check runs on times, local_ptm's range checks on gamma and decay."""
-    if not (times.min(initial=0.0) >= 0 and times.max(initial=0.0) < np.inf):  # NaN fails
-        bad = times[~(np.isfinite(times) & (times >= 0))]
-        raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
-    gamma = 0.5 - params.epsilon / 2.0
-    lifetimes = np.array([[params.t1_a], [params.t1_b], [params.t2_a], [params.t2_b]])
-    with np.errstate(over="ignore"):  # t/T = inf (subnormal T) is full relaxation
-        decay = -np.expm1(-times / lifetimes)  # p over T1, then lambda over T2
-    _check_ptm_args(decay[:2], gamma, decay[2:])
-    return gamma, decay
-
-
-def _propagate(r0: np.ndarray, gamma: float, decay: np.ndarray) -> np.ndarray:
-    """R(t) = T_a(t) R0 T_b(t)^T, shape (n_t, 4, 4), over the decays of _decays."""
-    # one PTM build for both qubits: qubit A in row 0, qubit B in row 1
-    t_a, t_b = _build_ptm(decay[:2], gamma, decay[2:])
-    return t_a @ r0 @ t_b.swapaxes(-1, -2)
 
 
 def _relax(r0: np.ndarray, times, params: RelaxationParams) -> np.ndarray:
     """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
-    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state."""
-    return _propagate(r0, *_decays(np.asarray(times, dtype=float), params))
-
-
-@functools.lru_cache(maxsize=1)
-def _relaxation_grid(params: RelaxationParams, dt: float,
-                     n_points: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """(times, gamma, decay) of the grid t_i = i * dt, for make_trajectory's
-    checked float dt and int n_points; the most recent grid stays cached,
-    read-only, 40 bytes per point."""
-    times = np.arange(n_points) * dt
-    gamma, decay = _decays(times, params)
-    times.setflags(write=False)
-    decay.setflags(write=False)
-    return times, gamma, decay
+    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state. The PTMs
+    skip local_ptm's range checks: checked times and valid params give p and lambda
+    in [0, 1] and gamma in [0, 1/2)."""
+    times = np.asarray(times, dtype=float)
+    if not (times.min(initial=0.0) >= 0 and times.max(initial=0.0) < np.inf):  # NaN fails
+        bad = times[~(np.isfinite(times) & (times >= 0))]
+        raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
+    lifetimes = np.array([[params.t1_a], [params.t1_b], [params.t2_a], [params.t2_b]])
+    with np.errstate(over="ignore"):  # t/T = inf (subnormal T) is full relaxation
+        decay = -np.expm1(-times / lifetimes)  # p over T1, then lambda over T2
+    # one PTM build for both qubits: qubit A in row 0, qubit B in row 1
+    t_a, t_b = _build_ptm(decay[:2], 0.5 - params.epsilon / 2.0, decay[2:])
+    return t_a @ r0 @ t_b.swapaxes(-1, -2)
 
 
 def _states(r: np.ndarray) -> np.ndarray:
@@ -214,11 +185,6 @@ def make_trajectory(
     the reports. Off by default: the reference treatment evaluates the
     measures on the Bell-diagonal correlation part alone, which is what
     makes q_n available along the whole trajectory.
-
-    The grid's times and decays depend only on (params, dt, n_points) and
-    are built and checked once: the most recent grid stays cached, 40 bytes
-    per point, so a sweep of initial states at fixed relaxation parameters
-    and grid reuses it. Each trajectory gets its own copy of the times.
     """
     try:
         n_points = operator.index(n_points)  # a plain int, also from a numpy integer
@@ -241,15 +207,15 @@ def make_trajectory(
 
     eps = params.epsilon if state0.mode == "deviation" else None
     coeffs0 = state0.coefficients if eps is None else eps * state0.coefficients
-    times, gamma, decay = _relaxation_grid(params, float(dt), n_points)
+    times = np.arange(n_points) * float(dt)
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
-    r = _propagate(np.diag([1.0, *coeffs0]), gamma, decay)
+    r = _relax(np.diag([1.0, *coeffs0]), times, params)
     states = _states(r)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
     rec, units = scaled_record(stacked, epsilon=eps, include_local_bloch=include_local_bloch)
     reports = report_from_record(rec, rho=states, units=units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
-    return Trajectory(times=times.copy(), states=states, bell_coeffs=coeffs, reports=reports)
+    return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochRecord
+from .bloch import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochRecord, _integer
 
 _AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -119,8 +119,11 @@ def run_direct_protocol(
     signal) takes shots >> 1/eps^2; ensemble magnetization detection is
     the exact-mode idealization of that limit.
     """
-    if shots is not None and not 1 <= shots <= np.iinfo(np.int64).max:  # binomial's range
-        raise ValueError(f"shots must be an integer in 1..2**63 - 1, got {shots}")
+    if shots is not None:
+        shots = _integer(shots, "shots")
+        if not 1 <= shots <= np.iinfo(np.int64).max:  # binomial's range
+            raise ValueError(f"shots must be an integer in 1..2**63 - 1, got {shots}")
+    seed = _integer(seed, "seed")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")
@@ -137,6 +140,7 @@ def run_direct_protocol(
 
 def measurement_budget(d: int) -> tuple[int, int]:
     """(direct, tomography) readout counts for a 2 x d system: (3d^2, 4d^2 - 1)."""
+    d = _integer(d, "d")
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
     return 3 * d * d, 4 * d * d - 1

@@ -1,7 +1,8 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from qcorr import BellDiagonalState, random_density_matrix, random_unitary
+from oracles import random_unitary
+from qcorr import BellDiagonalState, random_density_matrix
 
 # derandomize: every run draws the same examples, so a tier-1 result does not
 # depend on the draw or on a local example database

@@ -4,7 +4,8 @@ The library evolves relaxation through Pauli transfer matrices; the
 operator-sum Kraus sets here are the independent model those matrices
 are checked against. A Kraus set is a tuple of 2x2 operators. The scalar
 spin-spin coupling is a separate unitary; Bell-diagonal states are
-invariant under it. The second half keeps the Ginibre sampler, the report
+invariant under it. The Gell-Mann generators and the Haar-random unitary
+are the references the Bloch and measure tests build states with. The second half keeps the Ginibre sampler, the report
 kernel, the batch campaigns, the PTM build and the JSON renderers in their
 first form, the byte-level reference of the library's.
 """
@@ -59,6 +60,46 @@ def j_coupling_unitary(j: float, t: float) -> np.ndarray:
     phase = 2.0 * np.pi * j * t / 4.0
     zz = np.array([1.0, -1.0, -1.0, 1.0])
     return np.diag(np.exp(-1j * phase * zz))
+
+
+def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Generalized Gell-Mann generators of SU(d), tr[t_a t_b] = 2 delta_ab.
+
+    Ordered as the d(d-1)/2 symmetric pair operators, then the
+    antisymmetric ones, then the d-1 diagonal ones; for d = 2 this
+    reproduces (sigma_x, sigma_y, sigma_z) exactly.
+    """
+    if d < 2:
+        raise ValueError(f"subsystem dimension must be at least 2, got {d}")
+    gens: list[np.ndarray] = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = 1
+            m[k, j] = 1
+            gens.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j
+            m[k, j] = 1j
+            gens.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        for j in range(l):
+            m[j, j] = 1
+        m[l, l] = -l
+        gens.append(np.sqrt(2.0 / (l * (l + 1))) * m)
+    return tuple(gens)
+
+
+def random_unitary(dim: int, seed: int | np.random.Generator = 0) -> np.ndarray:
+    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 # ---------------------------------------------------------------------------

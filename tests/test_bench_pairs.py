@@ -67,11 +67,11 @@ def test_sides_alternate_and_a_failed_run_exits_1(tmp_path, monkeypatch, capsys)
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").touch()
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
-    argv = [str(tmp_path), "--workload", "single_state", "--pairs", "3",
+    argv = [str(tmp_path), "--workload", "single_state", "--pairs", "4",
             "--seconds", "1", "--first-seed", "5"]
     assert bench_pairs.main(argv) == 1
     assert calls == [("other", 5), ("this", 5), ("this", 6), ("other", 6),
-                     ("other", 7), ("this", 7)]
+                     ("other", 7), ("this", 7), ("this", 8), ("other", 8)]
     assert "failed runs: this seed 6" in capsys.readouterr().out
     monkeypatch.setattr(bench_pairs, "run_bench",
                         lambda *args: run(throughput_per_s=1.0))
@@ -99,3 +99,16 @@ def test_each_run_compiles_a_bytecode_free_copy(tmp_path, monkeypatch):
     assert seen["args"][1:3] == ["bench/run.py", "--workload"]
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert seen["files"] == ["bench", "bench/module.py", "src", "src/module.py"]
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 5, 0, -2])
+def test_an_odd_or_empty_pair_count_is_refused(tmp_path, monkeypatch, capsys, pairs):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").touch()
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), "--workload", "trajectory", "--pairs", str(pairs)])
+    assert exc.value.code == 2
+    assert f"--pairs must be a positive even number, so that each side runs first in half " \
+        f"of the pairs, got {pairs}" in capsys.readouterr().err
+

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gellmann_basis
 from qcorr import (
     BellDiagonalState,
     BlochRecord,
     InvalidStateError,
     bloch_decompose,
     check_density_matrix,
-    gellmann_basis,
     random_density_matrix,
 )
-import qcorr.bloch
 from qcorr.bloch import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -264,34 +263,11 @@ def test_stacked_draw_narrow_integer_ranks():
         assert np.array_equal(rho, random_density_matrix(50, rank=int(rank), seed=rng))
 
 
-def test_fill_offsets_cache_is_bounded_and_read_only():
-    # one key per dim and rank sequence, whatever the ranks' integer dtype or shape;
-    # at most maxsize keys, each 2 * dim * sum(ranks) read-only offsets
-    cached = qcorr.bloch._fill_offsets
-    cached.cache_clear()
-    for rank, seed in (([1, 2, 4], 0), (np.array([1, 2, 4], dtype=np.int8), 0),
-                       (np.array([[1, 2, 4]], dtype=np.uint8), [0])):
-        assert random_density_matrix(4, rank, seed).tobytes() == \
-            random_density_matrix(4, [1, 2, 4], 0).tobytes()
-    info = cached.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    offsets = cached(4, np.array([1, 2, 4], dtype=np.int64).tobytes())
-    assert offsets.size == 2 * 4 * 7 and not offsets.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        offsets[0] = 0
-    for rank in range(1, info.maxsize + 10):
-        random_density_matrix(info.maxsize + 10, rank)
-    assert cached.cache_info().currsize == info.maxsize == 16
-
-
 def test_a_large_draw_keeps_no_memory_alive():
-    # a block of more than _CACHED_NORMALS normals leaves the offsets cache as it was,
-    # and nothing of it stays behind once dropped: the sampler keeps only the
+    # nothing of a large draw stays behind once dropped: the sampler keeps only the
     # (2, dim, dim) column index of each dim, built here before tracing
     ranks = np.full(2000, 16, dtype=np.int8)
-    assert 2 * 16 * 16 * ranks.size > qcorr.bloch._CACHED_NORMALS
     random_density_matrix(16, 1)
-    before = qcorr.bloch._fill_offsets.cache_info()
     tracemalloc.start()
     try:
         rho = random_density_matrix(16, ranks, 3)
@@ -301,13 +277,6 @@ def test_a_large_draw_keeps_no_memory_alive():
     finally:
         tracemalloc.stop()
     assert kept < 4096
-    assert qcorr.bloch._fill_offsets.cache_info()[:] == before[:]
-    # the uncached fill is the cached one's, bit for bit
-    small = np.array([16, 3, 1, 9], dtype=np.int8)
-    want = random_density_matrix(16, small, 5)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qcorr.bloch, "_CACHED_NORMALS", 0)
-        assert random_density_matrix(16, small, 5).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", [4.0, "4", True, np.True_, None, np.float64(4.0)])

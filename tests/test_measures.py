@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import classical_quantum_state, random_bell_state
+from oracles import random_unitary
 from qcorr import (
     BellDiagonalState,
     BlochRecord,
@@ -19,7 +20,6 @@ from qcorr import (
     negativity_of_quantumness_bell,
     q_lower_bound,
     random_density_matrix,
-    random_unitary,
     report_from_record,
     s_matrix,
     sym3_eigenvalues,

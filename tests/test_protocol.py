@@ -189,6 +189,24 @@ def test_protocol_rejects_shots_beyond_int64():
         run_direct_protocol(bell_phi_plus(), shots=np.iinfo(np.int64).max + 1, seed=1)
 
 
+@pytest.mark.parametrize("arg", [{"shots": 100.5}, {"shots": 100.0}, {"shots": True},
+                                 {"shots": np.True_}, {"shots": "100"},
+                                 {"shots": 100, "seed": 1.5}, {"shots": 100, "seed": False},
+                                 {"seed": 2.0}])
+def test_protocol_refuses_non_integer_shots_and_seeds(arg):
+    name = "seed" if "seed" in arg else "shots"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        run_direct_protocol(bell_phi_plus(), **arg)
+
+
+def test_protocol_takes_numpy_integer_shots_and_seeds():
+    rho = random_density_matrix(4, seed=31)
+    want = run_direct_protocol(rho, shots=1000, seed=5)
+    for shots, seed in ((np.int64(1000), np.int64(5)), (np.uint16(1000), np.uint8(5))):
+        got = run_direct_protocol(rho, shots=shots, seed=seed)
+        assert (got.x.tobytes(), got.C.tobytes()) == (want.x.tobytes(), want.C.tobytes())
+
+
 def _fresh_unitary(nu, lam):
     if lam is None:
         return np.kron(rotation_gate(*LOCAL_ROTATIONS[nu]), np.eye(2, dtype=complex))
@@ -233,3 +251,17 @@ def test_measurement_budget():
     assert measurement_budget(10) == (300, 399)
     with pytest.raises(ValueError):
         measurement_budget(1)
+
+
+def test_measurement_budget_takes_numpy_integers():
+    # as plain ints: 4 d^2 - 1 of a uint8 d = 16 would wrap
+    for d in (np.int64(3), np.uint8(16)):
+        budget = measurement_budget(d)
+        assert budget == (3 * int(d) ** 2, 4 * int(d) ** 2 - 1)
+        assert [type(n) for n in budget] == [int, int]
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, True, "3", None])
+def test_measurement_budget_refuses_a_non_integer_d(d):
+    with pytest.raises(ValueError, match="^d must be an integer, got "):
+        measurement_budget(d)

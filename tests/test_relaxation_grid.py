@@ -1,5 +1,7 @@
-"""The relaxation grid of make_trajectory is built and checked once per
-(params, dt, n_points) and reused, without moving a byte of any trajectory."""
+"""make_trajectory builds its relaxation grid (times and decays) on every call, so a
+trajectory's bytes never depend on the calls before it: after the same grid (a "hit"),
+another grid (a "miss") or a grid in between (an "eviction"), a trajectory equals the
+one built again from the same arguments."""
 import dataclasses
 import gc
 import tracemalloc
@@ -8,8 +10,6 @@ import numpy as np
 import pytest
 
 from qcorr import BellDiagonalState, RelaxationParams, make_trajectory
-from qcorr import channels
-from qcorr.channels import _relaxation_grid
 
 DEVIATION = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
 FULL = BellDiagonalState(0.9, -0.9, 0.8)
@@ -21,13 +21,6 @@ OTHER_PARAMS = {"t1_a": 3.0, "t2_a": 0.9, "t1_b": 8.0, "t2_b": 0.25,
                 "epsilon": 0.3, "j_coupling": 120.0}
 
 
-@pytest.fixture(autouse=True)
-def cold_cache():
-    _relaxation_grid.cache_clear()
-    yield
-    _relaxation_grid.cache_clear()
-
-
 def columns(traj) -> list:
     """Every array of a trajectory as bytes, with the report's other fields."""
     values = [traj.times, traj.states, traj.bell_coeffs,
@@ -35,19 +28,13 @@ def columns(traj) -> list:
     return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
 
 
-def cold(state, params, **grid):
-    """The trajectory built with no grid cached."""
-    _relaxation_grid.cache_clear()
-    return make_trajectory(state, params, **grid)
-
-
 @pytest.mark.parametrize("include_local_bloch", [False, True])
 def test_trajectory_after_a_hit_equals_a_cold_build(include_local_bloch):
     make_trajectory(FULL, PARAMS, dt=DT, n_points=N)
     warm = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N,
                            include_local_bloch=include_local_bloch)
-    assert _relaxation_grid.cache_info().hits == 1
-    want = cold(DEVIATION, PARAMS, dt=DT, n_points=N, include_local_bloch=include_local_bloch)
+    want = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N,
+                           include_local_bloch=include_local_bloch)
     assert columns(warm) == columns(want)
 
 
@@ -59,60 +46,40 @@ def test_trajectory_after_a_hit_equals_a_cold_build(include_local_bloch):
 ], ids=[*OTHER_PARAMS, "dt", "n_points"])
 @pytest.mark.parametrize("state", [DEVIATION, FULL], ids=["deviation", "full"])
 def test_trajectory_after_a_miss_equals_a_cold_build(change, state):
-    # each key field on its own leads to a new grid, never to the cached one
+    # each grid field changed on its own, after a trajectory on the default grid
     grid = {"params": PARAMS, "dt": DT, "n_points": N, **change}
     make_trajectory(state, PARAMS, dt=DT, n_points=N)
     warm = make_trajectory(state, **grid)
-    misses = _relaxation_grid.cache_info().misses
-    assert columns(warm) == columns(cold(state, **grid))
-    assert misses == 2
+    assert columns(warm) == columns(make_trajectory(state, **grid))
 
 
 def test_trajectory_after_an_eviction_equals_a_cold_build():
     first = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)
     make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=2 * N)
     again = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)
-    misses = _relaxation_grid.cache_info().misses
     assert columns(again) == columns(first)
-    assert columns(again) == columns(cold(DEVIATION, PARAMS, dt=DT, n_points=N))
-    assert misses == 3
 
 
 def test_equal_params_reuse_the_grid():
-    make_trajectory(DEVIATION, RelaxationParams(), dt=DT, n_points=N)
+    first = make_trajectory(DEVIATION, RelaxationParams(), dt=DT, n_points=N)
     equal = RelaxationParams(t1_a=3.57, t2_a=1.2, t1_b=10.0, t2_b=0.19,
                              epsilon=1e-5, j_coupling=215.1)
-    warm = make_trajectory(DEVIATION, equal, dt=DT, n_points=N)
-    assert _relaxation_grid.cache_info().hits == 1
-    assert columns(warm) == columns(cold(DEVIATION, equal, dt=DT, n_points=N))
+    assert columns(make_trajectory(DEVIATION, equal, dt=DT, n_points=N)) == columns(first)
 
 
 def test_t_max_reuses_the_grid_of_an_equal_dt():
     t_max = (N - 1) * DT
     assert t_max / (N - 1) == DT
-    make_trajectory(FULL, PARAMS, dt=DT, n_points=N)
-    warm = make_trajectory(DEVIATION, PARAMS, t_max=t_max, n_points=N)
-    assert _relaxation_grid.cache_info().hits == 1
-    assert columns(warm) == columns(cold(DEVIATION, PARAMS, t_max=t_max, n_points=N))
+    want = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)
+    assert columns(make_trajectory(DEVIATION, PARAMS, t_max=t_max, n_points=N)) == columns(want)
 
 
 def test_each_trajectory_owns_its_times():
+    want = columns(make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N))
     traj = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)
     assert traj.times.flags.writeable
     traj.times[:] = -1.0
-    after = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)
-    assert _relaxation_grid.cache_info().hits == 1
-    assert columns(after) == columns(cold(DEVIATION, PARAMS, dt=DT, n_points=N))
-
-
-def test_checks_run_once_per_grid(monkeypatch):
-    calls = []
-    check = channels._check_ptm_args
-    monkeypatch.setattr(channels, "_check_ptm_args",
-                        lambda *args: calls.append(args[0].shape) or check(*args))
-    for n in (N, N, N, N + 1, N + 1, N):
-        make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=n)
-    assert calls == [(2, N), (2, N + 1), (2, N)]
+    assert columns(make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N)) == want
 
 
 def test_params_of_numpy_scalars_key_the_same_grid():
@@ -123,17 +90,7 @@ def test_params_of_numpy_scalars_key_the_same_grid():
     plain = dataclasses.replace(PARAMS, epsilon=float(np.float32(0.25)))
     assert numpy_params == plain and hash(numpy_params) == hash(plain)
     warm = make_trajectory(DEVIATION, numpy_params, dt=DT, n_points=N)
-    assert columns(warm) == columns(cold(DEVIATION, plain, dt=DT, n_points=N))
-
-
-def test_grid_key_holds_plain_numbers(monkeypatch):
-    keys = []
-    grid = channels._relaxation_grid
-    monkeypatch.setattr(channels, "_relaxation_grid",
-                        lambda *key: keys.append(key) or grid(*key))
-    make_trajectory(DEVIATION, PARAMS, dt=np.float64(DT), n_points=np.int64(N))
-    make_trajectory(DEVIATION, PARAMS, t_max=np.float32(0.25), n_points=np.uint8(N))
-    assert [(type(dt), type(n)) for _, dt, n in keys] == [(float, int)] * 2
+    assert columns(warm) == columns(make_trajectory(DEVIATION, plain, dt=DT, n_points=N))
 
 
 @pytest.mark.parametrize("grid", [{"n_points": 51.5}, {"n_points": 51.0},
@@ -145,10 +102,18 @@ def test_trajectory_refuses_a_non_integer_point_count(grid):
 
 def test_trajectory_takes_numpy_integer_point_counts():
     traj = make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=np.int64(N))
-    assert columns(traj) == columns(cold(DEVIATION, PARAMS, dt=DT, n_points=N))
+    assert columns(traj) == columns(make_trajectory(DEVIATION, PARAMS, dt=DT, n_points=N))
 
 
-def test_cache_keeps_40_bytes_per_point_of_the_last_grid():
+def test_a_dt_of_any_number_type_gives_float_times():
+    for dt in (np.float64(DT), np.float32(DT), 1):
+        traj = make_trajectory(DEVIATION, PARAMS, dt=dt, n_points=N)
+        assert traj.times.dtype == np.float64
+        assert columns(traj) == columns(make_trajectory(DEVIATION, PARAMS, dt=float(dt),
+                                                        n_points=N))
+
+
+def test_trajectory_keeps_no_memory_alive():
     n = 5000
     make_trajectory(DEVIATION, n_points=7)  # first-call allocations outside the trace
     gc.collect()
@@ -160,6 +125,5 @@ def test_cache_keeps_40_bytes_per_point_of_the_last_grid():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # times (8 bytes) and four decays (32 bytes) per point, plus the cache
-    # entry, its key and the array headers
-    assert 40 * n <= held <= 40 * n + 4096
+    # nothing of the grid (40 bytes per point) or of the trajectory stays behind
+    assert held < 4096
