@@ -2,7 +2,7 @@
 """Paired benchmark runs of this checkout against another one.
 
 Usage: python scripts/bench_pairs.py OTHER_ROOT --workload W [--pairs N]
-                                     [--seconds S] [--first-seed K]
+                                     [--seconds S] [--first-seed K] [--control]
 
 N is even (default 10).
 
@@ -13,6 +13,13 @@ the ``src`` beside it. The side that runs first alternates from pair to
 pair, OTHER_ROOT first in the first pair, so that each side runs first in
 exactly half of the pairs and a drift of the host does not favour one
 side.
+
+With --control every pair also runs OTHER_ROOT a second time, as the
+"control" side: an A/A run of the same tree beside the A/B run. The
+control runs in the slot that mirrors this checkout's across OTHER_ROOT's,
+control, other, this in even pairs and this, other, control in odd ones,
+so both comparisons sit next to OTHER_ROOT's run and each side runs first
+in half of them.
 
 Each run works on a fresh copy of its side's ``bench`` and ``src`` without
 their ``__pycache__`` directories, under PYTHONDONTWRITEBYTECODE=1, as a
@@ -27,8 +34,14 @@ metric of this checkout's BENCHMARK.json: the median of each side, the
 relative change of this checkout's median against OTHER_ROOT's, the
 number of pairs in which this checkout reads better (ties count for
 neither side; "better" is the metric's declared direction) and the
-quartiles of OTHER_ROOT's runs. It exits 1 if any run fails its output
-checks or prints no result. Standard library only.
+quartiles of OTHER_ROOT's runs. With --control the line also gives the
+A/A band, the lowest and highest per-pair change of the control against
+OTHER_ROOT, and a verdict: "outside" when the A/B change lies outside the
+band, so that two runs of one tree did not read it, "inside" when it lies
+within, and "unresolved" when the band is wider than the metric's
+BENCHMARK.json bound, so the runs spread too widely to tell a change of
+that size. It exits 1 if any run fails its output checks or prints no
+result. Standard library only.
 """
 import argparse
 import json
@@ -42,6 +55,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("other", "this")
+#: the side that runs OTHER_ROOT again, with --control
+CONTROL = "control"
 #: the parts of a checkout a benchmark run reads
 COPIED = ("bench", "src")
 
@@ -67,13 +82,14 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def run_pairs(other: Path, workload: str, pairs: int, seconds: float,
-              first_seed: int) -> list[dict]:
+              first_seed: int, control: bool = False) -> list[dict]:
     """``pairs`` pairs of runs: per pair its seed, the side that ran first and
-    each side's summary."""
-    roots = {"other": other, "this": ROOT}
+    each side's summary; with ``control`` a pair also holds a control run."""
+    roots = {"other": other, "this": ROOT, CONTROL: other}
+    sides = (CONTROL, *SIDES) if control else SIDES
     results = []
     for i in range(pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        order = sides if i % 2 == 0 else sides[::-1]
         seed = first_seed + i
         runs = {side: run_bench(roots[side], workload, seed, seconds) for side in order}
         results.append({"seed": seed, "first": order[0], "runs": runs})
@@ -87,25 +103,36 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return low, high
 
 
+def relative(new: float, old: float) -> float:
+    return (new - old) / old if old else float("nan")
+
+
 def summarize(results: list[dict], declared: list[dict]) -> list[dict]:
     """Per declared end-to-end metric that every run printed: both medians, the
-    relative change, the pairs this checkout wins, and OTHER_ROOT's quartiles."""
+    relative change, the pairs this checkout wins, and OTHER_ROOT's quartiles;
+    with control runs also the A/A band and the verdict on the change."""
+    sides = list(results[0]["runs"]) if results else []
     rows = []
     for metric in declared:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {side: [pair["runs"][side]["metrics"].get(name, {}).get("value")
-                         for pair in results] for side in SIDES}
-        if not results or None in values["other"] + values["this"]:
+                         for pair in results] for side in sides}
+        if not results or any(None in column for column in values.values()):
             continue
         median = {side: statistics.median(values[side]) for side in SIDES}
         wins = sum((b > a) if higher else (b < a)
                    for a, b in zip(values["other"], values["this"]))
-        change = (median["this"] - median["other"]) / median["other"] \
-            if median["other"] else float("nan")
-        rows.append({"name": name, "unit": metric["unit"], "better": metric["better"],
-                     "other": median["other"], "this": median["this"], "change": change,
-                     "wins": wins, "pairs": len(results),
-                     "other_quartiles": quartiles(values["other"])})
+        change = relative(median["this"], median["other"])
+        row = {"name": name, "unit": metric["unit"], "better": metric["better"],
+               "other": median["other"], "this": median["this"], "change": change,
+               "wins": wins, "pairs": len(results),
+               "other_quartiles": quartiles(values["other"])}
+        if CONTROL in values:
+            changes = [relative(a_a, a) for a, a_a in zip(values["other"], values[CONTROL])]
+            low, high = row["band"] = min(changes), max(changes)
+            row["verdict"] = ("unresolved" if high - low > metric["bound"]
+                              else "inside" if low <= change <= high else "outside")
+        rows.append(row)
     return rows
 
 
@@ -113,19 +140,25 @@ def report(results: list[dict], rows: list[dict], declared: list[dict]) -> str:
     lines = []
     for pair in results:
         lines.append(f"pair seed {pair['seed']} ({pair['first']} first)")
-        for side in SIDES:
+        for side in sorted(pair["runs"], key=(*SIDES, CONTROL).index):
             run = pair["runs"][side]
             values = "  ".join(f"{m['name']}={run['metrics'][m['name']]['value']:.6g}"
                                for m in declared if m["name"] in run["metrics"])
             status = "" if run["correct"] else "  FAILED " + run.get("error", "checks")
-            lines.append(f"  {side:<5}  {values}{status}")
-    lines.append(f"{'metric':<18} {'unit':<6} {'better':<7} {'other median':>13} "
-                 f"{'this median':>13} {'change':>9}  this ahead  other quartiles")
+            lines.append(f"  {side:<7}  {values}{status}")
+    control = any("band" in row for row in rows)
+    header = (f"{'metric':<18} {'unit':<6} {'better':<7} {'other median':>13} "
+              f"{'this median':>13} {'change':>9}  this ahead  {'other quartiles':<21}")
+    lines.append(header + "  A/A band             verdict" if control else header.rstrip())
     for row in rows:
         low, high = row["other_quartiles"]
-        lines.append(f"{row['name']:<18} {row['unit']:<6} {row['better']:<7} "
-                     f"{row['other']:>13.6g} {row['this']:>13.6g} {100 * row['change']:>+8.2f}%"
-                     f"  {row['wins']:>2} of {row['pairs']:<3}  {low:.6g} .. {high:.6g}")
+        line = (f"{row['name']:<18} {row['unit']:<6} {row['better']:<7} "
+                f"{row['other']:>13.6g} {row['this']:>13.6g} {100 * row['change']:>+8.2f}%"
+                f"  {row['wins']:>2} of {row['pairs']:<3}  {f'{low:.6g} .. {high:.6g}':<21}")
+        if control:
+            low, high = row["band"]
+            line += f"  {100 * low:>+7.2f} .. {100 * high:>+7.2f}%  {row['verdict']}"
+        lines.append(line.rstrip())
     return "\n".join(lines)
 
 
@@ -137,6 +170,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="length of each run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--control", action="store_true",
+                        help="also run OTHER_ROOT against a second copy of itself in each pair")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.pairs % 2:
         parser.error(f"--pairs must be a positive even number, so that each side runs first "
@@ -147,13 +182,14 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     print(f"workload {args.workload}: {args.pairs} pairs of {seconds:g} s runs, seeds "
-          f"{args.first_seed}..{args.first_seed + args.pairs - 1}; other = {args.other_root}; "
+          f"{args.first_seed}..{args.first_seed + args.pairs - 1}; other = {args.other_root}"
+          f"{' with a control run of it' if args.control else ''}; "
           f"each run on a copy without __pycache__, PYTHONDONTWRITEBYTECODE=1")
     results = run_pairs(args.other_root.resolve(), args.workload, args.pairs, seconds,
-                        args.first_seed)
+                        args.first_seed, args.control)
     print(report(results, summarize(results, spec["end_to_end"]), spec["end_to_end"]))
     failed = [f"{side} seed {pair['seed']}" for pair in results
-              for side in SIDES if not pair["runs"][side]["correct"]]
+              for side, run in pair["runs"].items() if not run["correct"]]
     if failed:
         print(f"failed runs: {', '.join(failed)}")
         return 1

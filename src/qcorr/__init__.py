@@ -20,7 +20,6 @@ from .channels import (
     TransitionPoint,
     detect_transition,
     evolve,
-    local_ptm,
     make_trajectory,
     one_sided_slopes,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "geometric_discord_eig",
     "hermitian_eigenvalues",
     "is_bell_diagonal",
-    "local_ptm",
     "make_trajectory",
     "measurement_budget",
     "negativity",

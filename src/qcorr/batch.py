@@ -8,23 +8,12 @@ Four families of checks run over freshly sampled random states:
 * D_G = N^2 on pure two-qubit states (tolerance 1e-9).
 
 Each campaign draws from its own child of the master seed, so reports
-are reproducible and campaigns are insensitive to one another. The sample
-index is walked in chunks of c samples, with c = CHUNK_ENTRIES // max over
-d of (rows_d 4 d^2), at least 1, where rows_d counts the campaigns on 2 x d
-states. Within a chunk the campaigns that share a d are one padded block:
-one sampler call, one ``bloch_decompose`` and one ``s_matrix``, with the
-two-qubit campaigns as a view of the d = 2 block. One closed-form pass
-over the chunk's (campaign, c) stack of S matrices gives D_G and Q, the
-eigenvalue route runs once over the 2 x d rows, and the two-qubit states
-go straight to the spectral route of the negativity: the pure ones lie
-outside the separable ball, so its purity test could never pass. Each
-works item by item, so every value is the one a call per campaign gives,
-bit for bit. One pass over a (check, c) table scores every campaign, and
-violations and the worst value accumulate across chunks. Each campaign's
-generator carries its stream from chunk to chunk, so the chunk size never
-shows in a report, and memory stays flat in n: no block holds more than
-CHUNK_ENTRIES complex entries unless the rows of one sample alone do
-(then c = 1).
+are reproducible and campaigns are insensitive to one another. Samples
+are walked in chunks whose sampler blocks, one per d, hold at most
+CHUNK_ENTRIES complex entries (or one sample), so memory stays flat in n.
+Every measure runs once per chunk over its stack, item by item: each value
+is the one a call per campaign gives, bit for bit, and since each generator
+carries its stream across chunks, the chunk size never shows in a report.
 """
 from __future__ import annotations
 
@@ -32,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bloch import _integer, bloch_decompose, random_density_matrix
+from .bloch import _integer, _seed, bloch_decompose, random_density_matrix
 from .io import format_float, render_table
 from .measures import _closed_form, _spectral_negativity, geometric_discord_eig, s_matrix
 
@@ -69,7 +58,7 @@ def run_batch_campaigns(n: int, seed: int, dims=(2, 3)) -> list[CampaignResult]:
         raise ValueError(f"n must be at least 1, got {n}")
     dims = tuple(_integer(d, "every entry of dims") for d in dims)
     k = len(dims)
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(k + 2)]
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(_seed(seed)).spawn(k + 2)]
     # rows: each 2 x d pair, then mixed and pure two qubits; ranks cycle 1..max_rank
     max_ranks = np.array([2 * d for d in dims] + [4, 1])
     # one block per dimension, its rows ascending, so the two-qubit rows close the d = 2 block

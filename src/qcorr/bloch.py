@@ -15,13 +15,8 @@ holds exactly (for d = 2 all prefactors reduce to the familiar 1/4).
 ``bloch_decompose`` reads (x, y, C) off the qubit blocks of a state, or of
 a stack of states (leading axes before the matrix axes), with per-d index
 arrays of O(d^2) entries.
-``random_density_matrix`` draws a stack of Ginibre states of mixed rank,
-or a block of such stacks with one random stream per row, in one padded
-(dim x dim) matrix product, bit for bit the states and random streams of
-one call per state. Each row's normals go straight into one buffer, which
-a boolean mask over G's float view writes into G. Each state's floats are
-multiplied by 1 / trace, and by 0.5 after hermitisation: the bits numpy's
-division by a real c + 0i gives (see ``random_density_matrix``).
+``random_density_matrix`` draws stacks of Ginibre states of mixed rank in
+one padded matrix product, bit for bit the states of one call per state.
 """
 from __future__ import annotations
 
@@ -45,15 +40,8 @@ for _m in PAULIS:
 
 
 class InvalidStateError(ValueError):
-    """A matrix fails the density-matrix requirements.
-
-    Carries ``min_eigenvalue`` when positivity is what failed, so callers
-    can report how far below zero the spectrum dips.
-    """
-
-    def __init__(self, message: str, min_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
+    """A matrix fails the density-matrix requirements; a failed positivity test names
+    the smallest eigenvalue in the message."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +123,15 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a seed of ``np.random.SeedSequence``, a non-negative plain int, or a
+    ValueError naming ``name``: the one seed rule of the sampler, campaigns, protocol and CLI."""
+    seed = _integer(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def check_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidStateError unless rho is Hermitian, unit trace and PSD, in that
     order; one ``hermitian_eigenvalues`` call checks Hermiticity and gives the spectrum."""
@@ -154,9 +151,7 @@ def check_density_matrix(rho: np.ndarray) -> None:
     smallest = float(spectrum[-1])
     if smallest < PSD_TOL:
         raise InvalidStateError(
-            f"state: smallest eigenvalue {smallest!r} is below {PSD_TOL}",
-            min_eigenvalue=smallest,
-        )
+            f"state: smallest eigenvalue {smallest!r} is below {PSD_TOL}")
 
 
 @functools.cache
@@ -178,20 +173,14 @@ def random_density_matrix(
     1-D int sequence for a (len(rank), dim, dim) stack, one state per entry, or
     a 2-D (rows, n) int array for a (rows, n, dim, dim) block with one seed per
     row in a list or tuple ``seed``: row j is the stack
-    ``random_density_matrix(dim, rank[j], seed[j])``, bit for bit.
-    Every state's G is a dim x dim matrix whose columns from ``rank`` on are
-    zero, filled with the 2 * dim * rank normals the state takes from its
-    row's stream; the whole block is then one matrix product, one trace
-    normalisation and one hermitisation. Normalisation and halving multiply
-    the float view of each state by 1 / c, which gives the bits of numpy's
-    complex division by c + 0i with probability one (CHANGES.md gives the
-    argument, in its entry on sampling without complex division).
-    One state is the same product as an item of a stack, so a stack is bit
-    for bit the states one-at-a-time calls draw from the same stream, and
-    since a Generator carries its stream across calls, consecutive calls on
-    the same Generators give the bits of one call over the concatenated
-    ranks. Padding costs dim / rank times the flops of a dim x rank G.
-    Deterministic for fixed integer seeds; Generators may be passed instead.
+    ``random_density_matrix(dim, rank[j], seed[j])``, bit for bit. A seed is a
+    Generator, used as is, or a non-negative integer.
+    Every G is zero-padded to dim x dim, so a block is one matrix product, and a
+    stack is bit for bit the states one-at-a-time calls draw from the same
+    streams; consecutive calls on the same Generators give the bits of one call
+    over the concatenated ranks. Normalisation and halving multiply the float
+    view by 1 / c, the bits of numpy's complex division by c + 0i (CHANGES.md
+    gives the argument, in its entry on sampling without complex division).
     """
     dim = _integer(dim, "dim")
     ranks = np.asarray(dim if rank is None else rank)
@@ -204,6 +193,7 @@ def random_density_matrix(
     else:
         raise ValueError(f"a rank of shape {ranks.shape} takes a list of {len(ranks)} seeds, "
                          f"got {seed!r}")
+    seeds = [s if isinstance(s, np.random.Generator) else _seed(s) for s in seeds]
     # builtin min/max/sum: cheaper than numpy's on a few ranks, and no integer overflow
     rows = ranks.reshape(len(seeds), -1).tolist()
     if min(map(min, rows)) < 1 or max(map(max, rows)) > dim:
@@ -257,9 +247,7 @@ class BellDiagonalState:
             if smallest < PSD_TOL:
                 raise InvalidStateError(
                     f"Bell coefficients ({self.c1}, {self.c2}, {self.c3}) violate "
-                    f"the tetrahedron constraint: population {smallest!r}",
-                    min_eigenvalue=smallest,
-                )
+                    f"the tetrahedron constraint: population {smallest!r}")
 
     @property
     def coefficients(self) -> np.ndarray:

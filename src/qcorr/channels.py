@@ -93,7 +93,8 @@ def apply_two_qubit_channel(rho: np.ndarray, kraus_a, kraus_b) -> np.ndarray:
 
 
 def _build_ptm(p: np.ndarray, gamma: float, lam: np.ndarray) -> np.ndarray:
-    """local_ptm of arrays p, lam of one shape, without the range checks."""
+    """Pauli transfer matrix T_kl = tr[sigma_k L(sigma_l)] / 2, (I, X, Y, Z) order,
+    of GAD(p, gamma) followed by PD(lam); arrays p, lam of one shape lead the (4, 4)."""
     ptm = np.zeros(p.shape + (4, 4))
     ptm[..., 0, 0] = 1.0
     ptm[..., 1, 1] = ptm[..., 2, 2] = np.sqrt(1.0 - p) * (1.0 - lam)
@@ -102,21 +103,10 @@ def _build_ptm(p: np.ndarray, gamma: float, lam: np.ndarray) -> np.ndarray:
     return ptm
 
 
-def local_ptm(p, gamma: float, lam) -> np.ndarray:
-    """Pauli transfer matrix T_kl = tr[sigma_k L(sigma_l)] / 2, (I, X, Y, Z) order,
-    of GAD(p, gamma) followed by PD(lam); arrays p, lam of one shape lead the (4, 4)."""
-    p, lam = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(lam, dtype=float))
-    for name, value in (("p", p), ("gamma", np.asarray(gamma)), ("lambda", lam)):
-        if not (value.min(initial=0.0) >= 0 and value.max(initial=1.0) <= 1):  # NaN fails
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return _build_ptm(p, gamma, lam)
-
-
 def _relax(r0: np.ndarray, times, params: RelaxationParams) -> np.ndarray:
     """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
-    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state. The PTMs
-    skip local_ptm's range checks: checked times and valid params give p and lambda
-    in [0, 1] and gamma in [0, 1/2)."""
+    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state. Checked
+    times and valid params give p and lambda in [0, 1] and gamma in [0, 1/2)."""
     times = np.asarray(times, dtype=float)
     if not (times.min(initial=0.0) >= 0 and times.max(initial=0.0) < np.inf):  # NaN fails
         bad = times[~(np.isfinite(times) & (times >= 0))]

@@ -17,14 +17,8 @@ Exit codes: 0 success, 2 input/parse error, 3 invalid state,
 file before it prints, so an unwritable path exits 2 with nothing on
 stdout. The QCORR_LOG environment variable sets log verbosity only; it
 never affects numeric output, and a value that names no logging level
-exits 2.
-
-The argument parsers are built once per process, on the first ``main``
-call, and reused; each call still parses into a fresh namespace. A call
-parses its argv with the named command's own parser, the one the
-top-level parser dispatches to; the top-level parser runs only for help,
-a missing or unknown command, or arguments the command leaves unparsed,
-and reports them as it would have.
+exits 2. The argument parsers are built on the first ``main`` call and
+reused (see ``_parse``).
 """
 from __future__ import annotations
 
@@ -37,7 +31,7 @@ import sys
 import numpy as np
 
 from . import batch as batch_mod
-from .bloch import BellDiagonalState, BlochRecord, InvalidStateError, \
+from .bloch import BellDiagonalState, BlochRecord, InvalidStateError, _seed, \
     bloch_decompose, check_density_matrix
 from .channels import RelaxationParams, detect_transition, make_trajectory
 from .io import (
@@ -85,13 +79,6 @@ def _require_finite(reports):
         raise ConfigError("the Bloch data are too large (deviation coefficients, or shot "
                           "readouts divided by --epsilon): S overflows, and d_g or q is "
                           "not finite")
-
-
-def _seed(seed: int) -> int:
-    """--seed as given; SeedSequence takes no negative seed, so that is a ConfigError."""
-    if seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
-    return seed
 
 
 def cmd_measure(args) -> int:
@@ -148,7 +135,7 @@ def cmd_protocol(args) -> int:
     rho, deviation, eps = _load_state(args.state, args.epsilon)
     if args.shots is not None and args.seed is None:
         raise ConfigError("--seed is mandatory whenever --shots is set")
-    seed = 0 if args.seed is None else _seed(args.seed)
+    seed = 0 if args.seed is None else _seed(args.seed, "--seed")
     # readouts and decomposition are linear and vanish on I/4, so a deviation state's
     # are read off its deviation, in eps units; shots sample the physical state
     source = rho if deviation is None else deviation
@@ -215,7 +202,7 @@ def cmd_batch(args) -> int:
         raise ConfigError(f"--dims must list dimensions >= 2, got {args.dims!r}")
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
-    results = batch_mod.run_batch_campaigns(args.n, _seed(args.seed), dims)
+    results = batch_mod.run_batch_campaigns(args.n, _seed(args.seed, "--seed"), dims)
     if args.output:
         write_output(args.output, batch_mod.render_batch_report(results, args.format))
         log.info("wrote batch report to %s", args.output)

@@ -42,11 +42,7 @@ from .measures import CorrelationReport
 
 
 class StateFormatError(ValueError):
-    """A state file cannot be parsed; ``field`` names the offending part."""
-
-    def __init__(self, message: str, field_name: str | None = None):
-        super().__init__(message)
-        self.field_name = field_name
+    """A state file cannot be parsed; the message names the offending field."""
 
 
 class ConfigError(ValueError):
@@ -97,12 +93,10 @@ def dump_json(value, indent: int = 0) -> str:
 
 def _require(doc: dict, key: str, kinds, where: str):
     if key not in doc:
-        raise StateFormatError(f"{where}: missing field {key!r}", field_name=key)
+        raise StateFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kinds):  # JSON true is no number
-        raise StateFormatError(
-            f"{where}: field {key!r} has type {type(value).__name__}", field_name=key
-        )
+        raise StateFormatError(f"{where}: field {key!r} has type {type(value).__name__}")
     return value
 
 
@@ -112,16 +106,13 @@ def _number_array(doc: dict, key: str, where: str) -> np.ndarray:
     # exact types: bool is an int subclass, and a list here would nest too deep
     kinds = {type(v) for item in value for v in (item if isinstance(item, list) else (item,))}
     if not kinds <= {int, float}:
-        raise StateFormatError(f"{where}: field {key!r} must hold numbers only",
-                               field_name=key)
+        raise StateFormatError(f"{where}: field {key!r} must hold numbers only")
     try:
         arr = np.array(value, dtype=float)
     except (ValueError, OverflowError) as exc:
-        raise StateFormatError(f"{where}: field {key!r} is not a numeric array ({exc})",
-                               field_name=key)
+        raise StateFormatError(f"{where}: field {key!r} is not a numeric array ({exc})")
     if not np.isfinite(arr).all():
-        raise StateFormatError(f"{where}: field {key!r} holds non-finite numbers",
-                               field_name=key)
+        raise StateFormatError(f"{where}: field {key!r} holds non-finite numbers")
     return arr
 
 
@@ -133,46 +124,38 @@ def load_state_file(path: str | Path) -> np.ndarray | BellDiagonalState:
         with open(path, "rb") as file:
             data = file.read()
     except OSError as exc:
-        raise StateFormatError(f"cannot read state file {where}: {exc}", field_name="file")
+        raise StateFormatError(f"cannot read state file {where}: {exc}")
     # a BOM stays in the text, which json.loads refuses (it would skip one in bytes), and
     # newlines are translated as a text-mode read translates them, for the error positions
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise StateFormatError(f"{where}: not valid JSON ({exc})", field_name="file")
+        raise StateFormatError(f"{where}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
-        raise StateFormatError(f"{where}: top level must be an object", field_name="file")
+        raise StateFormatError(f"{where}: top level must be an object")
 
     kind = _require(doc, "kind", str, where)
     if kind == "matrix":
         dim = _require(doc, "dim", int, where)
         re_arr = _number_array(doc, "re", where)
         im_arr = _number_array(doc, "im", where)
-        if re_arr.shape != (dim, dim):
-            raise StateFormatError(
-                f"{where}: field 're' has shape {re_arr.shape}, expected ({dim}, {dim})",
-                field_name="re",
-            )
-        if im_arr.shape != (dim, dim):
-            raise StateFormatError(
-                f"{where}: field 'im' has shape {im_arr.shape}, expected ({dim}, {dim})",
-                field_name="im",
-            )
+        for key, arr in (("re", re_arr), ("im", im_arr)):
+            if arr.shape != (dim, dim):
+                raise StateFormatError(f"{where}: field {key!r} has shape {arr.shape}, "
+                                       f"expected ({dim}, {dim})")
         return re_arr + 1j * im_arr
     if kind == "bell":
         coeffs = _number_array(doc, "c", where)
         if coeffs.shape != (3,):
-            raise StateFormatError(f"{where}: field 'c' must hold 3 numbers", field_name="c")
+            raise StateFormatError(f"{where}: field 'c' must hold 3 numbers")
         mode = doc.get("mode", "full")
         if mode not in ("full", "deviation"):
             raise StateFormatError(
-                f"{where}: field 'mode' must be 'full' or 'deviation', got {mode!r}",
-                field_name="mode",
-            )
+                f"{where}: field 'mode' must be 'full' or 'deviation', got {mode!r}")
         return BellDiagonalState(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]),
                                  mode=mode)
-    raise StateFormatError(f"{where}: unknown kind {kind!r}", field_name="kind")
+    raise StateFormatError(f"{where}: unknown kind {kind!r}")
 
 
 def write_state_file(path: str | Path, rho: np.ndarray) -> None:

@@ -10,14 +10,8 @@ factor of the closed form by its theta = 0 limit; a report takes D_G,
 theta and Q from one pass over the trace invariants of S. For Bell-diagonal
 two-qubit states the negativity of quantumness reduces to half the
 intermediate |c_i|, and the usual partial-transpose negativity
-(normalized to 1 on Bell states) is provided for two qubits. Before it
-diagonalizes, the negativity tests purity: tr[rho^2] < 1/3 makes a
-two-qubit state separable (Zyczkowski, Horodecki, Sanpera and
-Lewenstein, PRA 58, 883, 1998), and Samuelson's inequality turns a
-margin below 1/3 into a positive floor under the spectrum of the
-partial transpose. The eps-close-to-I/4 NMR states (separable, Braunstein
-et al., PRL 83, 1054, 1999) pass it, so their negativity is exactly 0
-without an eigensolver call.
+(normalized to 1 on Bell states) is provided for two qubits; states in
+the separable purity ball skip its eigensolver (see ``negativity``).
 
 Every measure accepts leading stack axes (a stack of records, S
 matrices or states) and then returns one value per item as an array;
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BellDiagonalState, BlochRecord, bloch_decompose
+from .bloch import BlochRecord, bloch_decompose
 from .eigen import hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
@@ -206,17 +200,12 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     return _closed_form(_symmetric_s(s_mat))[2]
 
 
-def negativity_of_quantumness_bell(state) -> float | np.ndarray:
-    """Negativity of quantumness of a Bell-diagonal state: middle |c_i| / 2.
-
-    Accepts a BellDiagonalState or a coefficient array of shape (..., 3).
-    """
-    if isinstance(state, BellDiagonalState):
-        coeffs = state.coefficients
-    else:
-        coeffs = np.asarray(state, dtype=float)
-        if coeffs.shape[-1:] != (3,):
-            raise ValueError(f"expected 3 Bell coefficients, got shape {coeffs.shape}")
+def negativity_of_quantumness_bell(coeffs) -> float | np.ndarray:
+    """Negativity of quantumness of Bell-diagonal states, from their coefficients
+    (..., 3): the middle |c_i| / 2."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[-1:] != (3,):
+        raise ValueError(f"expected 3 Bell coefficients, got shape {coeffs.shape}")
     q_n = np.sort(np.abs(coeffs), axis=-1)[..., 1] / 2.0
     return float(q_n) if coeffs.ndim == 1 else q_n
 
@@ -264,13 +253,11 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
     normalization D_G = N^2 on pure states and D_G >= N^2 in general.
 
     Two-qubit states with tr[rho^2] < 1/3 are separable (Zyczkowski,
-    Horodecki, Sanpera and Lewenstein, PRA 58, 883, 1998), which covers
-    the eps-close-to-I/4 NMR states (Braunstein et al., PRL 83, 1054,
-    1999). A stack whose every item lies inside that ball with the margin
-    of ``_inside_separable_ball`` returns zeros without diagonalizing:
-    its partial transposes have no eigenvalue that LAPACK could return
-    negative, so the zeros are the bytes the eigenvalue route gives. Any
-    other stack is diagonalized whole.
+    Horodecki, Sanpera and Lewenstein, PRA 58, 883, 1998), as the eps-close
+    NMR states are (Braunstein et al., PRL 83, 1054, 1999). A stack whose every
+    item lies inside that ball (``_inside_separable_ball``) returns zeros, the
+    bytes the eigenvalue route gives, without diagonalizing; any other stack
+    is diagonalized whole.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):

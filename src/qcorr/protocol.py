@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochRecord, _integer
+from .bloch import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochRecord, _integer, _seed
 
 _AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -58,14 +58,6 @@ ROTATION_TABLE: dict[tuple[int, int], RotationSpec] = {
     (3, 2): RotationSpec("y", "z", np.pi / 2, -1),
 }
 
-# Single-qubit rotations taking sigma_nu onto the sigma_1 readout with a
-# +1 sign (same axis/angle per index as the A side of the table).
-LOCAL_ROTATIONS: dict[int, tuple[str, float]] = {
-    1: ("x", 0.0),
-    2: ("z", 3 * np.pi / 2),
-    3: ("y", np.pi / 2),
-}
-
 
 def rotation_gate(axis: str, angle: float) -> np.ndarray:
     """exp(-i angle sigma_axis / 2)."""
@@ -83,10 +75,12 @@ _SIGNS = np.array([float(ROTATION_TABLE[pair].sign) for pair in _READOUTS[:9]]).
 
 
 def _readout_unitary(nu: int, lam: int | None) -> np.ndarray:
-    """CNOT . (R_A (x) R_B) for the table entry (nu, lam), or R_nu (x) I if lam is None."""
+    """CNOT . (R_A (x) R_B) for the table entry (nu, lam), or R_A (x) I of the entry (nu, 1)
+    if lam is None: that entry has sign +1 and an R_B about x, which fixes sigma_1, so its
+    R_A alone takes sigma_nu onto the sigma_1 readout."""
+    entry = ROTATION_TABLE[(nu, 1 if lam is None else lam)]
     if lam is None:
-        return np.kron(rotation_gate(*LOCAL_ROTATIONS[nu]), np.eye(2, dtype=complex))
-    entry = ROTATION_TABLE[(nu, lam)]
+        return np.kron(rotation_gate(entry.axis_a, entry.angle), np.eye(2, dtype=complex))
     return _CNOT @ np.kron(
         rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
     )
@@ -123,7 +117,7 @@ def run_direct_protocol(
         shots = _integer(shots, "shots")
         if not 1 <= shots <= np.iinfo(np.int64).max:  # binomial's range
             raise ValueError(f"shots must be an integer in 1..2**63 - 1, got {shots}")
-    seed = _integer(seed, "seed")
+    seed = _seed(seed)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho.shape}")

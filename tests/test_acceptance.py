@@ -93,7 +93,7 @@ def test_criterion_3_initial_state_values():
         if "q" in want:
             assert abs(q_lower_bound(s) - want["q"]) <= 1e-12
             assert abs(q_lower_bound(s_full) - want["q"]) <= 1e-12
-        q_n = negativity_of_quantumness_bell(state)
+        q_n = negativity_of_quantumness_bell(state.coefficients)
         assert abs(q_n - want["q_n"]) <= 1e-12
         assert abs(negativity_of_quantumness_bell(np.diagonal(full.C / eps))
                    - want["q_n"]) <= 1e-12

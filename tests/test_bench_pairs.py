@@ -112,3 +112,59 @@ def test_an_odd_or_empty_pair_count_is_refused(tmp_path, monkeypatch, capsys, pa
     assert f"--pairs must be a positive even number, so that each side runs first in half " \
         f"of the pairs, got {pairs}" in capsys.readouterr().err
 
+
+
+def control_pairs(other, this, control):
+    results = pairs(other, this)
+    for pair, values in zip(results, control):
+        pair["runs"]["control"] = run(**values)
+    return results
+
+
+def test_control_band_and_verdicts():
+    declared = DECLARED + [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    results = control_pairs(
+        [dict(throughput_per_s=100.0, latency_p50_ms=2.0, peak_rss_mb=40.0, setup_s=0.2)] * 4,
+        [dict(throughput_per_s=101.0, latency_p50_ms=2.4, peak_rss_mb=40.0, setup_s=0.2)] * 4,
+        [dict(throughput_per_s=t, latency_p50_ms=2.0, peak_rss_mb=40.0, setup_s=s)
+         for t, s in ((98.0, 0.1), (102.0, 0.2), (99.0, 0.2), (103.0, 0.3))])
+    rows = {row["name"]: row for row in bench_pairs.summarize(results, declared)}
+    tp, p50, rss, setup = (rows[name] for name in
+                           ("throughput_per_s", "latency_p50_ms", "peak_rss_mb", "setup_s"))
+    assert tp["band"] == pytest.approx((-0.02, 0.03)) and tp["verdict"] == "inside"
+    assert p50["change"] == pytest.approx(0.2) and p50["band"] == (0.0, 0.0)
+    assert p50["verdict"] == "outside"  # two runs of one tree never read it
+    assert (rss["change"], rss["band"], rss["verdict"]) == (0.0, (0.0, 0.0), "inside")
+    assert setup["band"] == pytest.approx((-0.5, 0.5))
+    assert setup["verdict"] == "unresolved"  # the band is wider than the 25 % bound
+    text = bench_pairs.report(results, list(rows.values()), declared)
+    assert "  -2.00 ..   +3.00%  inside" in text and "+20.00%" in text
+    assert "A/A band" in text and "  control  throughput_per_s=98" in text
+    # without control runs the table has no A/A columns
+    plain = bench_pairs.report(pairs([{}], [{}]), [], DECLARED)
+    assert "A/A band" not in plain and "control" not in plain
+
+
+def test_control_runs_mirror_this_checkout_across_other(tmp_path, monkeypatch, capsys):
+    roots = []
+
+    def fake_run(root, workload, seed, seconds):
+        roots.append((root, seed))
+        return run(correct=(len(roots) != 6), throughput_per_s=1.0)
+
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").touch()
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    argv = [str(tmp_path), "--workload", "trajectory", "--pairs", "2", "--seconds", "1",
+            "--first-seed", "3", "--control"]
+    assert bench_pairs.main(argv) == 1
+    this, other = bench_pairs.ROOT, tmp_path.resolve()
+    assert roots == [(other, 3), (other, 3), (this, 3), (this, 4), (other, 4), (other, 4)]
+    out = capsys.readouterr().out
+    assert "pair seed 3 (control first)" in out and "pair seed 4 (this first)" in out
+    assert "failed runs: control seed 4" in out
+    results = bench_pairs.run_pairs(tmp_path, "trajectory", 2, 1.0, 3, control=True)
+    assert [list(pair["runs"]) for pair in results] == [["control", "other", "this"],
+                                                        ["this", "other", "control"]]
+    assert [list(pair["runs"]) for pair in bench_pairs.run_pairs(
+        tmp_path, "trajectory", 2, 1.0, 3)] == [["other", "this"], ["this", "other"]]

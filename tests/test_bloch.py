@@ -1,3 +1,5 @@
+import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,9 @@ from qcorr import (
     bloch_decompose,
     check_density_matrix,
     random_density_matrix,
+    run_direct_protocol,
 )
+from qcorr.batch import run_batch_campaigns
 from qcorr.bloch import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -340,6 +344,36 @@ def test_block_draw_rejects_bad_rank_or_seeds(rank, seed):
         random_density_matrix(4, rank=rank, seed=seed)
 
 
+#: every public function that takes a seed, as a function of that seed
+SEEDED = {
+    "sampler": lambda seed: random_density_matrix(4, seed=seed),
+    "sampler block": lambda seed: random_density_matrix(
+        4, rank=np.ones((2, 1), dtype=int), seed=[np.random.default_rng(1), seed]),
+    "campaigns": lambda seed: run_batch_campaigns(3, seed),
+    "exact protocol": lambda seed: run_direct_protocol(np.eye(4) / 4, seed=seed),
+    "shot protocol": lambda seed: run_direct_protocol(np.eye(4) / 4, shots=10, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be a non-negative integer, got -1"),
+    (np.int64(-3), "seed must be a non-negative integer, got -3"),
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("7", "seed must be an integer, got '7'"),
+], ids=["negative", "numpy-negative", "bool", "float", "text"])
+def test_one_seed_rule_refuses_bad_seeds(entry, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SEEDED[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEEDED)
+def test_one_seed_rule_takes_numpy_and_large_seeds(entry):
+    for seed in (0, 2**64 - 1):
+        assert pickle.dumps(SEEDED[entry](np.uint64(seed))) == pickle.dumps(SEEDED[entry](seed))
+
+
 def test_check_density_matrix_accepts_valid():
     check_density_matrix(random_density_matrix(4, seed=8))
 
@@ -351,9 +385,9 @@ def test_check_density_matrix_rejects_bad_trace():
 
 def test_check_density_matrix_rejects_negative():
     bad = np.diag([0.7, 0.4, -0.05, -0.05]).astype(complex)
-    with pytest.raises(InvalidStateError) as err:
+    with pytest.raises(InvalidStateError, match="^state: smallest eigenvalue ") as err:
         check_density_matrix(bad)
-    assert err.value.min_eigenvalue == pytest.approx(-0.05)
+    assert float(str(err.value).split()[3]) == pytest.approx(-0.05)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.nan])

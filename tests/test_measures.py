@@ -140,7 +140,7 @@ def test_q_bound_degenerate_equality():
 def test_negativity_of_quantumness_values():
     assert negativity_of_quantumness_bell((0.5, 0.06, 0.24)) == pytest.approx(0.12)
     assert negativity_of_quantumness_bell((0.2, 0.2, 0.2)) == pytest.approx(0.10)
-    assert negativity_of_quantumness_bell(BellDiagonalState(1, -1, 1)) == pytest.approx(0.5)
+    assert negativity_of_quantumness_bell(BellDiagonalState(1, -1, 1).coefficients) == pytest.approx(0.5)
 
 
 def test_negativity_product_state():

@@ -16,7 +16,7 @@ from qcorr import (
     s_matrix,
 )
 from qcorr.bloch import SIGMA_X
-from qcorr.protocol import LOCAL_ROTATIONS, _CNOT, _READOUTS, _UNITARIES, _UNITARIES_H
+from qcorr.protocol import _CNOT, _READOUTS, _UNITARIES, _UNITARIES_H
 
 
 def bell_phi_plus():
@@ -207,6 +207,10 @@ def test_protocol_takes_numpy_integer_shots_and_seeds():
         assert (got.x.tobytes(), got.C.tobytes()) == (want.x.tobytes(), want.C.tobytes())
 
 
+#: the rotation taking sigma_nu onto the sigma_1 readout with a +1 sign, per local readout
+LOCAL_ROTATIONS = {1: ("x", 0.0), 2: ("z", 3 * np.pi / 2), 3: ("y", np.pi / 2)}
+
+
 def _fresh_unitary(nu, lam):
     if lam is None:
         return np.kron(rotation_gate(*LOCAL_ROTATIONS[nu]), np.eye(2, dtype=complex))
@@ -214,6 +218,17 @@ def _fresh_unitary(nu, lam):
     return _CNOT @ np.kron(
         rotation_gate(entry.axis_a, entry.angle), rotation_gate(entry.axis_b, entry.angle)
     )
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_local_readouts_are_the_a_rotations_of_the_first_column(nu):
+    # local readout nu is R_A (x) I of the entry (nu, 1): right only while that entry's
+    # sign is +1 and its R_B turns about x, which fixes the sigma_1 readout
+    entry = ROTATION_TABLE[(nu, 1)]
+    assert (entry.sign, entry.axis_b) == (+1, "x")
+    want = np.kron(rotation_gate(entry.axis_a, entry.angle), np.eye(2, dtype=complex))
+    assert _UNITARIES[8 + nu].tobytes() == want.tobytes()
+    assert (entry.axis_a, entry.angle) == LOCAL_ROTATIONS[nu]
 
 
 def test_readout_stack_is_constant_and_built_from_the_gates():
