@@ -113,6 +113,11 @@ def commands(inputs: Path) -> dict[str, list[str]]:
                                         "--output", f"evolve_config.{fmt}", "--format", fmt]
         cmds[f"evolve_full_{fmt}"] = ["evolve", "--state", str(inputs / "bell_full.json"),
                                       "--output", f"evolve_full.{fmt}", "--format", fmt]
+        # the points outside the separable ball, diagonalized, with local polarization
+        cmds[f"evolve_full_local_{fmt}"] = ["evolve", "--state", str(inputs / "bell_full.json"),
+                                            "--include-local-bloch",
+                                            "--output", f"evolve_full_local.{fmt}",
+                                            "--format", fmt]
         cmds[f"evolve_coarse_{fmt}"] = ["evolve", "--state", str(inputs / "bell_coarse.json"),
                                         "--dt", "0.005", "--points", "60",
                                         "--output", f"evolve_coarse.{fmt}", "--format", fmt]

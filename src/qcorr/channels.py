@@ -5,17 +5,21 @@ thermal state (timescale T1), then phase damping (timescale T2), with
 p(t) = 1 - exp(-t/T1), lambda(t) = 1 - exp(-t/T2) and gamma = 1/2 - eps/2,
 eps being the thermal polarization. Evolution runs through the Pauli
 transfer matrices of these channels, stacked over the time grid; the
-tests check those matrices against the channels' operator-sum Kraus sets.
+tests check those matrices against the channels' operator-sum Kraus sets. A
+trajectory reads its measures and the purity certificate of its negativity off
+the Pauli coefficients; only points outside the separable ball become 4x4 states.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .bloch import PAULIS, BellDiagonalState, BlochRecord
-from .measures import CorrelationReport, report_from_record, scaled_record
+from .eigen import hermitian_asymmetry
+from .measures import (_BALL_RADIUS, CorrelationReport, _spectral_negativity,
+                       report_from_record, scaled_record)
 
 COMPLETENESS_TOL = 1e-12
 
@@ -129,26 +133,47 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
 
     GAD comes before PD on each qubit (the two orders agree on all Bell
     coefficients). The channels form a semigroup, so evolving to each
-    time from t = 0 is exact.
+    time from t = 0 is exact. rho0 must be finite and Hermitian within
+    HERMITICITY_TOL: the Pauli coefficients hold its Hermitian part only.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho0.shape}")
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 must be finite")
+    hermitian_asymmetry(rho0)
     r0 = np.einsum("ijab,ba->ij", _PAULI_PRODUCTS, rho0).real
     return _states(_relax(r0, [t], RelaxationParams() if params is None else params))[0]
+
+
+def _negativity(r: np.ndarray) -> np.ndarray:
+    """Negativity of the states of a coefficient stack R (n, 4, 4), as a fresh array.
+
+    The test of ``measures._inside_separable_ball``, read off R with tr[rho] = R_00 and
+    ||rho||_F^2 = sum_ij R_ij^2 / 4: a point inside the ball gets +0.0, the bytes of its
+    spectral route, and only the others are built as states and diagonalized.
+    """
+    flat = r.reshape(-1, 16)
+    # summed squares that overflow are inf, and an inf or NaN norm fails the test
+    norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)) / 2.0
+    outside = np.flatnonzero(~(norm < flat[:, 0] * _BALL_RADIUS))
+    neg = np.zeros(len(flat))
+    if outside.size:
+        # numpy's matmul sums a single row in another order than a stack: build two at least
+        states = _states(r[np.resize(outside, max(outside.size, 2))])[:outside.size]
+        neg[outside] = _spectral_negativity(states)
+    return neg
 
 
 @dataclass
 class Trajectory:
     """Time series of an evolving two-qubit state with its measures, by column:
-    ``times`` (n,), ``states`` (n, 4, 4), ``bell_coeffs`` (n, 3) and the stacked
-    CorrelationReport ``reports`` of (n,) columns, NaN where a one-state report
-    holds None; ``reports`` is also the sequence of the n one-state reports."""
+    ``times`` (n,), ``bell_coeffs`` (n, 3) and the stacked CorrelationReport
+    ``reports`` of (n,) columns, NaN where a one-state report holds None;
+    ``reports`` is also the sequence of the n one-state reports. No 4x4 state is
+    kept: the negativity's purity certificate is read off the Pauli coefficients."""
 
     times: np.ndarray
-    states: np.ndarray
     bell_coeffs: np.ndarray
     reports: CorrelationReport = field(repr=False)
 
@@ -200,12 +225,11 @@ def make_trajectory(
     times = np.arange(n_points) * float(dt)
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
     r = _relax(np.diag([1.0, *coeffs0]), times, params)
-    states = _states(r)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
     rec, units = scaled_record(stacked, epsilon=eps, include_local_bloch=include_local_bloch)
-    reports = report_from_record(rec, rho=states, units=units)
+    reports = replace(report_from_record(rec, units=units), negativity=_negativity(r))
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
-    return Trajectory(times=times, states=states, bell_coeffs=coeffs, reports=reports)
+    return Trajectory(times=times, bell_coeffs=coeffs, reports=reports)
 
 
 @dataclass(frozen=True)

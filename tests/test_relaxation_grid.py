@@ -23,7 +23,7 @@ OTHER_PARAMS = {"t1_a": 3.0, "t2_a": 0.9, "t1_b": 8.0, "t2_b": 0.25,
 
 def columns(traj) -> list:
     """Every array of a trajectory as bytes, with the report's other fields."""
-    values = [traj.times, traj.states, traj.bell_coeffs,
+    values = [traj.times, traj.bell_coeffs,
               *(getattr(traj.reports, f.name) for f in dataclasses.fields(traj.reports))]
     return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
 

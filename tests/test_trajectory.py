@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ from qcorr import (
     Trajectory,
     check_density_matrix,
     detect_transition,
+    evolve,
     make_trajectory,
     one_sided_slopes,
 )
 from qcorr.channels import TRANSITION_SPIKE_FACTOR, TransitionPoint
-from qcorr.measures import CorrelationReport
+from qcorr.measures import PPT_BALL_MARGIN, CorrelationReport
 
 RHO1 = BellDiagonalState(0.2, -0.2, 0.2, mode="deviation")
 RHO2 = BellDiagonalState(0.5, -0.06, 0.24, mode="deviation")
@@ -38,7 +41,7 @@ def test_default_grid():
     assert len(traj.times) == 11
     assert traj.times[0] == 0.0
     assert traj.times[1] == pytest.approx(1.0 / (4 * params.j_coupling))
-    assert len(traj.states) == len(traj.reports) == 11
+    assert len(traj.reports) == 11
     assert traj.bell_coeffs.shape == (11, 3)
 
 
@@ -105,9 +108,16 @@ def test_initial_point_reproduces_reference_values():
     assert np.allclose(traj.bell_coeffs[0], [0.5, -0.06, 0.24], atol=1e-11)
 
 
+def evolved_states(state, params, times):
+    """The physical state at each grid time, evolved on its own from t = 0."""
+    rho0 = state.density_matrix(params.epsilon)
+    return [evolve(rho0, float(t), params) for t in times]
+
+
 def test_trajectory_states_are_valid():
-    traj = make_trajectory(RHO2, n_points=40)
-    for rho in traj.states:
+    params = RelaxationParams()
+    traj = make_trajectory(RHO2, params, n_points=40)
+    for rho in evolved_states(RHO2, params, traj.times):
         check_density_matrix(rho)
 
 
@@ -173,11 +183,11 @@ def test_including_local_bloch_changes_dg_but_not_coeffs():
 
 
 def test_full_mode_trajectory():
-    state = BellDiagonalState(0.9, -0.9, 0.8)
-    traj = make_trajectory(state, n_points=20)
+    state, params = BellDiagonalState(0.9, -0.9, 0.8), RelaxationParams()
+    traj = make_trajectory(state, params, n_points=20)
     assert traj.reports[0].units == "eps^0"
     assert abs(traj.bell_coeffs[0, 0] - 0.9) <= 1e-12
-    for rho in traj.states:
+    for rho in evolved_states(state, params, traj.times):
         check_density_matrix(rho)
 
 
@@ -188,7 +198,6 @@ def synthetic_trajectory(values):
                                negativity=missing, units="eps^0")
     return Trajectory(
         times=np.arange(n, dtype=float),
-        states=np.tile(np.eye(4, dtype=complex) / 4.0, (n, 1, 1)),
         bell_coeffs=np.tile([0.3, 0.2, 0.1], (n, 1)),
         reports=report,
     )
@@ -260,7 +269,6 @@ def test_detect_transition_equals_loop_rule(n, seed, switches, spike, noise, str
     missing = np.full(n, np.nan)
     traj = Trajectory(
         times=np.arange(n) * rng.uniform(1e-4, 1e-2),
-        states=np.zeros((n, 4, 4), dtype=complex),
         bell_coeffs=coeffs,
         reports=CorrelationReport(d_g=d_g, q=d_g, theta=missing, q_n=missing,
                                   negativity=missing, units="eps^0"),
@@ -330,7 +338,44 @@ def test_trajectory_negativity_diagonalizes_only_outside_the_ball(monkeypatch, s
         return original(mat)
 
     monkeypatch.setattr(qcorr.measures, "hermitian_eigenvalues", counted)
-    traj = make_trajectory(state, n_points=51)
-    assert len(seen) == calls
-    if not calls:
-        assert traj.reports.negativity.tobytes() == np.zeros(51).tobytes()
+    params = RelaxationParams()
+    traj = make_trajectory(state, params, n_points=251)
+    # outside: ||rho||_F >= tr[rho] sqrt(1/3 - margin), read off the evolved states
+    states = np.array(evolved_states(state, params, traj.times))
+    norms = np.linalg.norm(states, axis=(1, 2))
+    outside = norms >= np.trace(states, axis1=1, axis2=2).real * np.sqrt(1 / 3 - PPT_BALL_MARGIN)
+    assert len(seen) == calls and seen == [(outside.sum(), 4, 4)] * calls
+    negativity = traj.reports.negativity
+    assert negativity[~outside].tobytes() == np.zeros((~outside).sum()).tobytes()
+    assert negativity.dtype == np.float64 and negativity.flags.writeable
+    if state.mode == "full":  # the first 51 of 251 points, the first 48 of them entangled
+        assert outside.sum() == 51 and (negativity > 0).sum() == 48
+
+
+def test_deviation_trajectory_builds_no_state(monkeypatch):
+    import qcorr.channels
+
+    def refuse(r):
+        raise AssertionError("a 4x4 state stack was built")
+
+    want = make_trajectory(RHO2, n_points=251)
+    monkeypatch.setattr(qcorr.channels, "_states", refuse)
+    traj = make_trajectory(RHO2, n_points=251)
+    assert traj.reports == want.reports
+    assert traj.reports.negativity.tobytes() == np.zeros(251).tobytes()
+
+
+def test_trajectory_peak_memory_per_point():
+    # no (n, 4, 4) complex stack: the Pauli coefficients, their record and the
+    # report columns set the peak (1,156 bytes a point with the stack)
+    n = 40_000
+    make_trajectory(RHO2, n_points=7)  # first-call allocations outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traj = make_trajectory(RHO2, n_points=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == n
+    assert peak < 800 * n, f"{peak / n:.0f} bytes per point"
