@@ -21,6 +21,7 @@ one padded matrix product, bit for bit the states of one call per state.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -238,7 +239,7 @@ class BellDiagonalState:
     def __post_init__(self):
         if self.mode not in ("full", "deviation"):
             raise ValueError(f"mode must be 'full' or 'deviation', got {self.mode!r}")
-        if not np.all(np.isfinite(self.coefficients)):
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3))):
             raise InvalidStateError(
                 f"Bell coefficients ({self.c1}, {self.c2}, {self.c3}) must be finite"
             )

@@ -12,7 +12,7 @@ the Pauli coefficients; only points outside the separable ball become 4x4 states
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,14 +36,25 @@ _PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _PAULI_1Q, _PAULI_1Q).reshape(4, 
 _PAULI_PRODUCTS.setflags(write=False)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a plain float, from one integer or float (numpy scalars and 0-d
+    arrays included), or a ValueError naming ``name``: arrays, bools and strings are
+    refused, as ``bloch._integer`` refuses bools."""
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(array)
+
+
 @dataclass(frozen=True)
 class RelaxationParams:
     """Relaxation times (s), polarization and scalar coupling (Hz).
 
     Defaults are the chloroform values: hydrogen T1 = 3.57 s, T2 = 1.2 s;
     carbon T1 = 10 s, T2 = 0.19 s; J = 215.1 Hz; eps ~ 1e-5. Every field
-    must be finite and positive, and eps at most 1; each is stored as a
-    plain float, so a numpy float32 eps cannot round gamma to float32.
+    must be a real number (bools and strings are refused), finite and
+    positive, and eps at most 1; each is stored as a plain float, so a numpy
+    float32 eps cannot round gamma to float32.
     """
 
     t1_a: float = 3.57
@@ -55,10 +66,10 @@ class RelaxationParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (np.isfinite(value) and value > 0):
+            value = _real(getattr(self, f.name), f.name)
+            if not 0 < value < np.inf:  # NaN fails
                 raise ValueError(f"{f.name} must be positive and finite, got {value}")
-            object.__setattr__(self, f.name, float(value))
+            object.__setattr__(self, f.name, value)
         if not self.epsilon <= 1:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
@@ -109,15 +120,13 @@ def _build_ptm(p: np.ndarray, gamma: float, lam: np.ndarray) -> np.ndarray:
 
 def _relax(r0: np.ndarray, times, params: RelaxationParams) -> np.ndarray:
     """R(t) = T_a(t) R0 T_b(t)^T over times, shape (n_t, 4, 4), from the Pauli
-    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state. Checked
-    times and valid params give p and lambda in [0, 1] and gamma in [0, 1/2)."""
-    times = np.asarray(times, dtype=float)
-    if not (times.min(initial=0.0) >= 0 and times.max(initial=0.0) < np.inf):  # NaN fails
-        bad = times[~(np.isfinite(times) & (times >= 0))]
-        raise ValueError(f"time must be finite and non-negative, got {bad[0]}")
-    lifetimes = np.array([[params.t1_a], [params.t1_b], [params.t2_a], [params.t2_b]])
+    coefficients R0_ij = tr[rho0 sigma_i (x) sigma_j] of the initial state. The
+    times are not checked here: the caller passes finite non-negative ones, which
+    with valid params give p and lambda in [0, 1] and gamma in [0, 1/2)."""
+    # negated lifetimes: t / -T is exactly -(t / T), and t = 0 still gives +0.0
+    lifetimes = np.array([[-params.t1_a], [-params.t1_b], [-params.t2_a], [-params.t2_b]])
     with np.errstate(over="ignore"):  # t/T = inf (subnormal T) is full relaxation
-        decay = -np.expm1(-times / lifetimes)  # p over T1, then lambda over T2
+        decay = -np.expm1(times / lifetimes)  # p over T1, then lambda over T2
     # one PTM build for both qubits: qubit A in row 0, qubit B in row 1
     t_a, t_b = _build_ptm(decay[:2], 0.5 - params.epsilon / 2.0, decay[2:])
     return t_a @ r0 @ t_b.swapaxes(-1, -2)
@@ -133,9 +142,14 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
 
     GAD comes before PD on each qubit (the two orders agree on all Bell
     coefficients). The channels form a semigroup, so evolving to each
-    time from t = 0 is exact. rho0 must be finite and Hermitian within
-    HERMITICITY_TOL: the Pauli coefficients hold its Hermitian part only.
+    time from t = 0 is exact. t is one finite, non-negative real number (a
+    numpy scalar or 0-d array too); an array of times, a string or a bool is a
+    ValueError. rho0 must be finite and Hermitian within HERMITICITY_TOL: the
+    Pauli coefficients hold its Hermitian part only.
     """
+    t = _real(t, "t")
+    if not 0 <= t < np.inf:  # NaN fails
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a two-qubit state, got shape {rho0.shape}")
@@ -143,7 +157,8 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
         raise ValueError("rho0 must be finite")
     hermitian_asymmetry(rho0)
     r0 = np.einsum("ijab,ba->ij", _PAULI_PRODUCTS, rho0).real
-    return _states(_relax(r0, [t], RelaxationParams() if params is None else params))[0]
+    times = np.array([t])
+    return _states(_relax(r0, times, RelaxationParams() if params is None else params))[0]
 
 
 def _negativity(r: np.ndarray) -> np.ndarray:
@@ -156,7 +171,7 @@ def _negativity(r: np.ndarray) -> np.ndarray:
     flat = r.reshape(-1, 16)
     # summed squares that overflow are inf, and an inf or NaN norm fails the test
     norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)) / 2.0
-    outside = np.flatnonzero(~(norm < flat[:, 0] * _BALL_RADIUS))
+    outside = (~(norm < flat[:, 0] * _BALL_RADIUS)).nonzero()[0]
     neg = np.zeros(len(flat))
     if outside.size:
         # numpy's matmul sums a single row in another order than a stack: build two at least
@@ -212,22 +227,26 @@ def make_trajectory(
     if t_max is not None and dt is not None:
         raise ValueError("give either t_max or dt, not both")
     if t_max is not None:
+        t_max = _real(t_max, "t_max")
         if not t_max > 0:
             raise ValueError(f"t_max must be positive, got {t_max}")
         dt = t_max / (n_points - 1)
     elif dt is None:
         dt = 1.0 / (4.0 * params.j_coupling)
+    else:
+        dt = _real(dt, "dt")
     if not (0 < dt and (n_points - 1) * dt < np.inf):
         raise ValueError(f"dt must be positive and finite over {n_points} points, got {dt}")
 
     eps = params.epsilon if state0.mode == "deviation" else None
     coeffs0 = state0.coefficients if eps is None else eps * state0.coefficients
-    times = np.arange(n_points) * float(dt)
+    times = np.arange(n_points) * dt
     # the Bell-diagonal state (I + sum_i c_i sigma_i (x) sigma_i) / 4 has R = diag(1, c)
-    r = _relax(np.diag([1.0, *coeffs0]), times, params)
+    r = _relax(np.diag((1.0, *coeffs0.tolist())), times, params)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
     rec, units = scaled_record(stacked, epsilon=eps, include_local_bloch=include_local_bloch)
-    reports = replace(report_from_record(rec, units=units), negativity=_negativity(r))
+    rep = report_from_record(rec, units=units)
+    reports = CorrelationReport(rep.d_g, rep.q, rep.theta, rep.q_n, _negativity(r), units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
     return Trajectory(times=times, bell_coeffs=coeffs, reports=reports)
 
@@ -269,11 +288,11 @@ def detect_transition(traj: Trajectory) -> TransitionPoint | None:
     # the kink at switch i lies in (t_{i-1}, t_i): check the second difference at both
     # ends, only the left one at the last grid point
     spike = np.maximum(second[switches - 2], second[np.minimum(switches - 1, n - 3)])
-    if np.isnan(second).any():  # the median is NaN, which no spike exceeds
+    ordered = np.sort(second)
+    if ordered[-1] != ordered[-1]:  # NaN sorts last; the median is NaN, which no spike exceeds
         return None
     k = second.size // 2  # np.median's value without its first-call import of numpy.ma
-    low, high = np.partition(second, (k - 1, k))[k - 1:k + 1]
-    median = high if second.size % 2 else (low + high) / 2.0
+    median = ordered[k] if second.size % 2 else (ordered[k - 1] + ordered[k]) / 2.0
     hits = switches[spike > TRANSITION_SPIKE_FACTOR * median]
     if not hits.size:
         return None

@@ -53,6 +53,8 @@ UNITS_DEVIATION = "eps^2/eps^1"
 _MEASURES = ("d_g", "q", "theta", "q_n", "negativity")  # the CorrelationReport columns
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
+_OFF_DIAGONAL = 1.0 - _EYE3
+_OFF_DIAGONAL.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,7 @@ def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
         bell = np.zeros(lead, dtype=bool)
     else:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN: a non-finite diagonal stays visible
-            off = record.C * (1.0 - _EYE3)
+            off = record.C * _OFF_DIAGONAL
         parts = (record.x, record.y, off.reshape(lead + (9,)))
         bell = np.abs(np.concatenate(parts, axis=-1)).max(axis=-1) <= BELL_DIAGONAL_TOL
     return bool(bell) if not lead else bell
@@ -310,8 +312,9 @@ def report_from_record(
     case and gives the report of plain numbers and None.
     """
     lead = record.x.ndim - 1
-    record = BlochRecord(*(a.reshape((-1,) + a.shape[lead:]) for a in
-                           (record.x, record.y, record.C)))
+    if lead != 1:
+        record = BlochRecord(*(a.reshape((-1,) + a.shape[lead:]) for a in
+                               (record.x, record.y, record.C)))
     s = s_matrix(record)
     d_g, theta, q = _closed_form(s)
     middle = negativity_of_quantumness_bell(record.C.diagonal(axis1=-2, axis2=-1))

@@ -60,6 +60,15 @@ def test_relaxation_validation():
             RelaxationParams(j_coupling=value)
 
 
+@pytest.mark.parametrize("name, value", [("t1_a", True), ("epsilon", True),
+                                         ("j_coupling", "215"), ("t2_b", "0.19")])
+def test_relaxation_refuses_bools_and_strings(name, value):
+    # True was stored as 1.0 and a string raised numpy's TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        RelaxationParams(**{name: value})
+    assert RelaxationParams(**{name: np.float32(0.5)}) == RelaxationParams(**{name: 0.5})
+
+
 def test_gad_identity_at_p_zero():
     rho = random_density_matrix(2, seed=1)
     out = apply_single(rho, gad_kraus(0.0, 0.3))
@@ -297,6 +306,23 @@ def test_evolve_rejects_non_finite_and_negative_times(t):
         evolve(np.eye(4) / 4.0, t)
 
 
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf, -np.inf])
+def test_evolve_names_the_bad_time(t):
+    with pytest.raises(ValueError, match=f"^time must be finite and non-negative, got {t}$"):
+        evolve(np.eye(4) / 4.0, t)
+
+
+@pytest.mark.parametrize("t", [np.array([0.1, 0.2]), np.array([]), "0.1", True])
+def test_evolve_takes_one_real_time(t):
+    # an array ran its first time only (or raised IndexError when empty), and a
+    # string or a bool ran as the number it spells
+    rho = BellDiagonalState(0.4, -0.2, 0.3).density_matrix()
+    with pytest.raises(ValueError, match="^t must be a real number, got "):
+        evolve(rho, t)
+    for scalar in (np.float64(0.1), np.float32(0.1), np.int64(1), np.array(0.1)):
+        assert evolve(rho, scalar).tobytes() == evolve(rho, float(scalar)).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_evolve_refuses_a_non_finite_state(bad):
     rho = np.eye(4, dtype=complex) / 4.0
@@ -321,6 +347,14 @@ def test_evolve_refuses_a_non_hermitian_state(entry):
 def test_trajectory_rejects_non_finite_grid(grid):
     with pytest.raises(ValueError, match="finite"):
         make_trajectory(BellDiagonalState(0.2, -0.2, 0.2, mode="deviation"), **grid)
+
+
+@pytest.mark.parametrize("name, value", [("dt", True), ("dt", "0.001"), ("t_max", True),
+                                         ("t_max", "1.0")])
+def test_trajectory_grid_refuses_bools_and_strings(name, value):
+    # dt=True ran a grid of 1 s steps and dt="0.001" raised a TypeError from a comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        make_trajectory(BellDiagonalState(0.2, -0.2, 0.2, mode="deviation"), **{name: value})
 
 
 def test_j_coupling_unitary_basics():
