@@ -106,6 +106,9 @@ def commands(inputs: Path) -> dict[str, list[str]]:
         cmds[f"protocol_{name}_shots"] = ["protocol", "--state", state,
                                           "--shots", "4000", "--seed", "5",
                                           "--output", f"protocol_{name}_shots.json"]
+    for name in WERNER:  # the protocol's negativity on both sides of the ball's edge
+        cmds[f"protocol_{name}_exact"] = ["protocol", "--state", str(inputs / f"{name}.json"),
+                                          "--output", f"protocol_{name}_exact.json"]
     for fmt in ("csv", "json"):
         cmds[f"evolve_state_{fmt}"] = ["evolve", "--state", str(inputs / "bell_deviation.json"),
                                        "--output", f"evolve_state.{fmt}", "--format", fmt]

@@ -155,14 +155,6 @@ def check_density_matrix(rho: np.ndarray) -> None:
             f"state: smallest eigenvalue {smallest!r} is below {PSD_TOL}")
 
 
-@functools.cache
-def _column_index(dim: int) -> np.ndarray:
-    """(2, dim, dim) column index of each real and imaginary entry of a dim x dim G."""
-    index = np.broadcast_to(np.arange(dim), (2, dim, dim)).copy()
-    index.setflags(write=False)
-    return index
-
-
 def random_density_matrix(
     dim: int, rank: int | np.ndarray | None = None,
     seed: int | np.random.Generator | list | tuple = 0,
@@ -211,7 +203,9 @@ def random_density_matrix(
         np.random.default_rng(s).standard_normal(out=normals[start:stop])  # a Generator as is
     g = np.zeros((ranks.size, dim, dim), dtype=complex)
     parts = g.view(float).reshape(ranks.size, dim, dim, 2).transpose(0, 3, 1, 2)
-    parts[_column_index(dim) < ranks.reshape(-1, 1, 1, 1)] = normals
+    # the column index of each real and imaginary entry, against each state's rank; the
+    # modulus builds it contiguous, a few us cheaper than comparing a broadcast view
+    parts[np.arange(2 * dim**2).reshape(2, dim, dim) % dim < ranks.reshape(-1, 1, 1, 1)] = normals
     h = g @ g.conj().swapaxes(1, 2)
     floats = h.view(float).reshape(ranks.size, -1)
     floats *= 1.0 / h.trace(axis1=1, axis2=2).real[:, None]

@@ -11,15 +11,13 @@ the Pauli coefficients; only points outside the separable ball become 4x4 states
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bloch import PAULIS, BellDiagonalState, BlochRecord
+from .bloch import PAULIS, BellDiagonalState, BlochRecord, _integer
 from .eigen import hermitian_asymmetry
-from .measures import (_BALL_RADIUS, CorrelationReport, _spectral_negativity,
-                       report_from_record, scaled_record)
+from .measures import CorrelationReport, _ball_negativity, report_from_record, scaled_record
 
 COMPLETENESS_TOL = 1e-12
 
@@ -164,20 +162,16 @@ def evolve(rho0: np.ndarray, t: float, params: RelaxationParams | None = None) -
 def _negativity(r: np.ndarray) -> np.ndarray:
     """Negativity of the states of a coefficient stack R (n, 4, 4), as a fresh array.
 
-    The test of ``measures._inside_separable_ball``, read off R with tr[rho] = R_00 and
-    ||rho||_F^2 = sum_ij R_ij^2 / 4: a point inside the ball gets +0.0, the bytes of its
-    spectral route, and only the others are built as states and diagonalized.
+    ``measures._ball_negativity`` with tr[rho] = R_00 and ||rho||_F^2 = sum_ij R_ij^2 / 4:
+    only the points outside the ball are built as states, Hermitian by construction, and
+    diagonalized.
     """
     flat = r.reshape(-1, 16)
     # summed squares that overflow are inf, and an inf or NaN norm fails the test
     norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)) / 2.0
-    outside = (~(norm < flat[:, 0] * _BALL_RADIUS)).nonzero()[0]
-    neg = np.zeros(len(flat))
-    if outside.size:
-        # numpy's matmul sums a single row in another order than a stack: build two at least
-        states = _states(r[np.resize(outside, max(outside.size, 2))])[:outside.size]
-        neg[outside] = _spectral_negativity(states)
-    return neg
+    # numpy's matmul sums a single row in another order than a stack: build two at least
+    return _ball_negativity(norm, flat[:, 0], lambda rows: _states(
+        r[np.resize(rows, max(rows.size, 2))])[:rows.size])
 
 
 @dataclass
@@ -216,10 +210,7 @@ def make_trajectory(
     measures on the Bell-diagonal correlation part alone, which is what
     makes q_n available along the whole trajectory.
     """
-    try:
-        n_points = operator.index(n_points)  # a plain int, also from a numpy integer
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
+    n_points = _integer(n_points, "n_points")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if params is None:
@@ -245,8 +236,7 @@ def make_trajectory(
     r = _relax(np.diag((1.0, *coeffs0.tolist())), times, params)
     stacked = BlochRecord(x=r[:, 1:, 0], y=r[:, 0, 1:], C=r[:, 1:, 1:])
     rec, units = scaled_record(stacked, epsilon=eps, include_local_bloch=include_local_bloch)
-    rep = report_from_record(rec, units=units)
-    reports = CorrelationReport(rep.d_g, rep.q, rep.theta, rep.q_n, _negativity(r), units)
+    reports = report_from_record(rec, negativity=_negativity(r), units=units)
     coeffs = np.diagonal(rec.C, axis1=1, axis2=2).copy()
     return Trajectory(times=times, bell_coeffs=coeffs, reports=reports)
 

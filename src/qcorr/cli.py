@@ -45,8 +45,8 @@ from .io import (
     serialize_trajectory,
     write_output,
 )
-from .measures import UNITS_DEVIATION, UNITS_FULL, full_report, report_from_record, \
-    scaled_record
+from .measures import UNITS_DEVIATION, UNITS_FULL, full_report, negativity, \
+    report_from_record, scaled_record
 from .protocol import measurement_budget, run_direct_protocol
 
 log = logging.getLogger("qcorr")
@@ -152,7 +152,7 @@ def cmd_protocol(args) -> int:
     both = BlochRecord(x=np.stack([direct.x, tomo.x]), y=np.stack([direct.y, tomo.y]),
                        C=np.stack([direct.C, tomo.C]))
     units = UNITS_FULL if deviation is None else UNITS_DEVIATION
-    reports = report_from_record(both, rho=np.stack([rho, rho]), units=units)
+    reports = report_from_record(both, negativity=negativity(rho), units=units)
     _require_finite(reports)  # with finite d_g and q, S and every estimate are finite
     direct_report, tomo_report = reports
     # q_n counts only where both runs define it (NaN otherwise); d_g and q are finite

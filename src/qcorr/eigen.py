@@ -46,12 +46,17 @@ def _descending_spectra(a: np.ndarray, asymmetry: float) -> np.ndarray:
     return eigs.reshape(a.shape[:-1])
 
 
-def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of real symmetric 3x3 matrices, sorted descending."""
+def _symmetric_3x3(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """``mat`` as floats, and its asymmetry; ValueError unless a (stack of) symmetric 3x3."""
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    return _descending_spectra(m, hermitian_asymmetry(m))
+    return m, hermitian_asymmetry(m)
+
+
+def sym3_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of real symmetric 3x3 matrices, sorted descending."""
+    return _descending_spectra(*_symmetric_3x3(mat))
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Each format is defined once, here:
 
-* State files (``load_state_file``, ``write_state_file``) are UTF-8 JSON
-  documents of one of two kinds, read in one binary read (a BOM or
-  invalid UTF-8 is refused)::
+* State files (``load_state_file``) are UTF-8 JSON documents of one of
+  two kinds, read in one binary read (a BOM or invalid UTF-8 is refused)::
 
       {"kind": "matrix", "dim": N, "re": [[...]], "im": [[...]]}
       {"kind": "bell", "c": [c1, c2, c3], "mode": "full" | "deviation"}
@@ -65,8 +64,6 @@ def _json_scalar(v) -> str:
         return json.dumps(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, np.floating):
-        return format_float(float(v))
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
@@ -158,17 +155,6 @@ def load_state_file(path: str | Path) -> np.ndarray | BellDiagonalState:
     raise StateFormatError(f"{where}: unknown kind {kind!r}")
 
 
-def write_state_file(path: str | Path, rho: np.ndarray) -> None:
-    rho = np.asarray(rho, dtype=complex)
-    doc = {
-        "kind": "matrix",
-        "dim": rho.shape[0],
-        "re": rho.real,
-        "im": rho.imag,
-    }
-    Path(path).write_text(dump_json(doc) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # result tables
 
@@ -225,9 +211,8 @@ def write_output(path: str | Path, text: str) -> None:
 
 def report_text(report: CorrelationReport) -> str:
     rec = report.as_record()
-    lines = [f"units = {rec['units']}"]
-    for key in ("d_g", "q", "theta", "q_n", "negativity"):
-        value = rec[key]
+    lines = [f"units = {rec.pop('units')}"]
+    for key, value in rec.items():
         lines.append(f"{key} = {'none' if value is None else format_float(value)}")
     return "\n".join(lines)
 
@@ -338,26 +323,6 @@ class ExperimentConfig:
     output: str | None = None
     format: str = "csv"
 
-    def validate(self) -> None:
-        if (self.state_file is None) == (self.state_coeffs is None):
-            raise ConfigError("give exactly one of a state file and inline coefficients")
-        if self.t_max is not None and self.dt is not None:
-            raise ConfigError("give at most one of grid.t_max and grid.dt")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.state_mode not in ("full", "deviation"):
-            raise ConfigError(
-                f"state.mode must be 'full' or 'deviation', got {self.state_mode!r}"
-            )
-        if self.n_points < _MIN_TRANSITION_POINTS:  # refused before anything is computed
-            raise ConfigError(f"grid.n_points must be at least {_MIN_TRANSITION_POINTS} "
-                              f"points for the transition search, got {self.n_points}")
-        if self.n_points > MAX_POINTS:  # refused before anything is allocated
-            raise ConfigError(
-                f"grid.n_points {self.n_points} is above the cap of {MAX_POINTS} points "
-                f"(about {EVOLVE_BYTES_PER_POINT} bytes each in {EVOLVE_MEMORY_BUDGET >> 20} MiB)"
-            )
-
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
     """Parse ``key -> text`` settings into a validated ExperimentConfig."""
@@ -375,5 +340,22 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         cfg.relaxation = RelaxationParams(**relax)
     except ValueError as exc:
         raise ConfigError(f"bad relaxation parameters: {exc}")
-    cfg.validate()
+    if (cfg.state_file is None) == (cfg.state_coeffs is None):
+        raise ConfigError("give exactly one of a state file and inline coefficients")
+    if cfg.t_max is not None and cfg.dt is not None:
+        raise ConfigError("give at most one of grid.t_max and grid.dt")
+    if cfg.format not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {cfg.format!r}")
+    if cfg.state_mode not in ("full", "deviation"):
+        raise ConfigError(
+            f"state.mode must be 'full' or 'deviation', got {cfg.state_mode!r}"
+        )
+    if cfg.n_points < _MIN_TRANSITION_POINTS:  # refused before anything is computed
+        raise ConfigError(f"grid.n_points must be at least {_MIN_TRANSITION_POINTS} "
+                          f"points for the transition search, got {cfg.n_points}")
+    if cfg.n_points > MAX_POINTS:  # refused before anything is allocated
+        raise ConfigError(
+            f"grid.n_points {cfg.n_points} is above the cap of {MAX_POINTS} points "
+            f"(about {EVOLVE_BYTES_PER_POINT} bytes each in {EVOLVE_MEMORY_BUDGET >> 20} MiB)"
+        )
     return cfg

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochRecord, bloch_decompose
-from .eigen import hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
+from .eigen import _symmetric_3x3, hermitian_asymmetry, hermitian_eigenvalues, sym3_eigenvalues
 
 #: spread threshold on 3 tr[S^2] - tr[S]^2 below which the spectrum of S
 #: is treated as fully degenerate and the angular factor is pinned to
@@ -42,11 +42,6 @@ BELL_DIAGONAL_TOL = 1e-8
 PPT_BALL_MARGIN = 1e-10
 #: ||rho||_F / tr[rho] at the edge of the ball
 _BALL_RADIUS = np.sqrt(1.0 / 3.0 - PPT_BALL_MARGIN)
-#: picks Re rho_ii out of a flattened 4x4 complex matrix viewed as 32 floats, scaled
-#: by _BALL_RADIUS
-_BALL_TRACE_WEIGHTS = np.zeros(32)
-_BALL_TRACE_WEIGHTS[::10] = _BALL_RADIUS
-_BALL_TRACE_WEIGHTS.setflags(write=False)
 
 UNITS_FULL = "eps^0"
 UNITS_DEVIATION = "eps^2/eps^1"
@@ -133,15 +128,6 @@ def _det3(m: np.ndarray) -> np.ndarray:
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
 
 
-def _symmetric_s(s_mat: np.ndarray) -> np.ndarray:
-    """S as a float array; ValueError unless it is a (stack of) symmetric 3x3."""
-    s = np.asarray(s_mat, dtype=float)
-    if s.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {s.shape}")
-    hermitian_asymmetry(s)
-    return s
-
-
 @np.errstate(over="ignore", invalid="ignore")  # S near the float limit: inf, NaN
 def _closed_form(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_g, theta, q) of a float (stack of) symmetric 3x3 S in one pass over its
@@ -178,7 +164,7 @@ def geometric_discord_closed(
     argument is 0/0) take theta = 0 and return None for the angle (NaN
     in a stack).
     """
-    d_g, theta, _ = _closed_form(_symmetric_s(s_mat))
+    d_g, theta, _ = _closed_form(_symmetric_3x3(s_mat)[0])
     if theta.ndim == 0:
         return d_g, None if theta != theta else float(theta)
     return d_g, theta
@@ -201,7 +187,7 @@ def q_lower_bound(s_mat: np.ndarray) -> float | np.ndarray:
     Q = (4/3) tr[S] - (2/3) sqrt(6 tr[S^2] - 2 tr[S]^2), the q of the closed form's
     pass; the radical is computed as a sum of squares of the deviatoric part, hence >= 0.
     """
-    return _closed_form(_symmetric_s(s_mat))[2]
+    return _closed_form(_symmetric_3x3(s_mat)[0])[2]
 
 
 def negativity_of_quantumness_bell(coeffs) -> float | np.ndarray:
@@ -223,32 +209,32 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     return np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -3, -1).reshape(lead + (4, 4))
 
 
-def _inside_separable_ball(rho: np.ndarray) -> bool:
-    """True when every state of a two-qubit stack is certified PPT by its purity.
+def _ball_negativity(norm: np.ndarray, trace: np.ndarray, states, stack=None) -> np.ndarray:
+    """Negativity of n two-qubit states from each one's ||rho||_F and tr[rho]: +0.0 where
+    the separable ball certifies the state, else the spectral route on ``states(rows)``,
+    the caller's build of the states at an index array of rows.
 
-    With t = tr[A] and F = ||A||_F, Samuelson's inequality puts every
-    eigenvalue of a Hermitian 4x4 A within sqrt(3/4 (F^2 - t^2/4)) of t/4.
-    Both numbers are the same for rho and its partial transpose, so
-    F < t sqrt(1/3 - PPT_BALL_MARGIN) gives lambda_min(rho^T_B) >=
-    1.5 PPT_BALL_MARGIN t > 0. LAPACK solves the Hermitian matrix of one
-    triangle, which differs from the Hermitian part of rho^T_B by at most
-    sqrt(3) times the asymmetry of rho, so that must stay below half the
-    margin too. A zero or negative trace, an overflow and NaN all fail
-    the test. On a certified stack the Hermiticity check of
-    ``hermitian_eigenvalues`` is run here, with its ValueError. A trajectory
-    reads the same test off its Pauli coefficients (``channels._negativity``),
-    where rho is Hermitian by construction and the check is moot.
+    With t = tr[A] and F = ||A||_F, Samuelson's inequality puts every eigenvalue of a
+    Hermitian 4x4 A within sqrt(3/4 (F^2 - t^2/4)) of t/4. Both numbers are the same
+    for rho and its partial transpose, so F < t sqrt(1/3 - PPT_BALL_MARGIN) gives
+    lambda_min(rho^T_B) >= 1.5 PPT_BALL_MARGIN t > 0; a zero or negative trace, an
+    overflow and NaN fail. LAPACK solves the Hermitian matrix of one triangle, which
+    differs from the Hermitian part of rho^T_B by up to sqrt(3) times the asymmetry of
+    rho, so a caller that holds states not Hermitian by construction passes them as
+    ``stack``: once an item is inside, they get the Hermiticity check of
+    ``hermitian_eigenvalues`` here (with its ValueError), and an item is certified only
+    where that asymmetry is below half its margin.
     """
-    entries = rho.reshape(-1, 16).view(float)
-    with np.errstate(invalid="ignore"):  # inf * 0 or inf - inf: a NaN radius fails the test
-        radius = entries @ _BALL_TRACE_WEIGHTS  # tr[rho] sqrt(1/3 - margin), item by item
-    # einsum's summed squares overflow to inf without a warning, and an inf or NaN
-    # norm fails the test
-    norm = np.sqrt(np.einsum("ij,ij->i", entries, entries))
-    if not (norm < radius).all():
-        return False
-    asymmetry = hermitian_asymmetry(rho)  # max |rho - rho^H| is that of rho^T_B
-    return bool(asymmetry <= 0.5 * PPT_BALL_MARGIN * radius.min(initial=np.inf))
+    radius = trace * _BALL_RADIUS
+    inside = norm < radius
+    if stack is not None and inside.any():
+        asymmetry = hermitian_asymmetry(stack)  # max |rho - rho^H| is that of rho^T_B
+        inside &= asymmetry <= 0.5 * PPT_BALL_MARGIN * radius
+    neg = np.zeros(inside.shape)
+    outside = (~inside).nonzero()[0]
+    if outside.size:
+        neg[outside] = _spectral_negativity(states(outside))
+    return neg
 
 
 def negativity(rho: np.ndarray) -> float | np.ndarray:
@@ -260,18 +246,21 @@ def negativity(rho: np.ndarray) -> float | np.ndarray:
 
     Two-qubit states with tr[rho^2] < 1/3 are separable (Zyczkowski,
     Horodecki, Sanpera and Lewenstein, PRA 58, 883, 1998), as the eps-close
-    NMR states are (Braunstein et al., PRL 83, 1054, 1999). A stack whose every
-    item lies inside that ball (``_inside_separable_ball``) returns zeros, the
-    bytes the eigenvalue route gives, without diagonalizing; any other stack
-    is diagonalized whole.
+    NMR states are (Braunstein et al., PRL 83, 1054, 1999). Each item of a
+    stack inside that ball (``_ball_negativity``) gets +0.0, the bytes the
+    eigenvalue route gives, without diagonalizing; only the other items are
+    diagonalized.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"negativity implemented for two qubits only, got shape {rho.shape}")
-    if _inside_separable_ball(rho):
-        return 0.0 if rho.ndim == 2 else np.zeros(rho.shape[:-2])
-    neg = _spectral_negativity(rho)
-    return float(neg) if rho.ndim == 2 else neg
+    entries = rho.reshape(-1, 16).view(float)
+    # einsum's summed squares overflow to inf without a warning, and its inf - inf is NaN
+    # without one: an inf or NaN norm or trace fails the test
+    norm = np.sqrt(np.einsum("ij,ij->i", entries, entries))
+    trace = np.einsum("ij->i", entries[:, ::10])  # Re rho_ii at floats 0, 10, 20, 30
+    neg = _ball_negativity(norm, trace, lambda rows: rho.reshape(-1, 4, 4)[rows], stack=rho)
+    return neg.item() if rho.ndim == 2 else neg.reshape(rho.shape[:-2])
 
 
 def _spectral_negativity(rho: np.ndarray) -> np.ndarray:
@@ -279,8 +268,8 @@ def _spectral_negativity(rho: np.ndarray) -> np.ndarray:
     transposes, without the purity test: the route for stacks that hold pure states,
     which lie outside the separable ball."""
     eigs = hermitian_eigenvalues(partial_transpose(rho))
-    # NaN is not >= 0, so a NaN spectrum gives a NaN negativity
-    return 2.0 * np.sum(np.where(eigs >= 0.0, 0.0, np.abs(eigs)), axis=-1)
+    # |min(lambda, 0)| is +0.0 or |lambda|; minimum keeps NaN, so a NaN spectrum gives NaN
+    return 2.0 * np.abs(np.minimum(eigs, 0.0)).sum(axis=-1)
 
 
 def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
@@ -299,17 +288,17 @@ def is_bell_diagonal(record: BlochRecord) -> bool | np.ndarray:
 def report_from_record(
     record: BlochRecord,
     *,
-    rho: np.ndarray | None = None,
+    negativity: float | np.ndarray | None = None,
     units: str = UNITS_FULL,
 ) -> CorrelationReport:
     """Assemble a CorrelationReport from (already scaled) Bloch data.
 
     q_n is only filled in when the record is Bell diagonal within
-    tolerance; negativity is evaluated on the accompanying full-state
-    matrix when one is given and the system is two qubits. A stacked
-    record, with a matching stack of states if any, gives one report of
-    columns over the flattened stack; a single record is its one-item
-    case and gives the report of plain numbers and None.
+    tolerance; ``negativity`` is the states' negativity, one value per
+    record or one for all, or None where it is missing (d > 2). A stacked
+    record gives one report of columns over the flattened stack; a single
+    record is its one-item case and gives the report of plain numbers and
+    None.
     """
     lead = record.x.ndim - 1
     if lead != 1:
@@ -319,8 +308,7 @@ def report_from_record(
     d_g, theta, q = _closed_form(s)
     middle = negativity_of_quantumness_bell(record.C.diagonal(axis1=-2, axis2=-1))
     q_n = np.where(is_bell_diagonal(record), middle, np.nan)
-    two_qubits = rho is not None and rho.shape[-2:] == (4, 4)
-    neg = negativity(rho.reshape(-1, 4, 4)) if two_qubits else np.full(d_g.shape, np.nan)
+    neg = np.full(d_g.shape, np.nan if negativity is None else np.ravel(negativity))
     report = CorrelationReport(d_g=d_g, q=q, theta=theta, q_n=q_n, negativity=neg, units=units)
     return report if lead else report[0]
 
@@ -367,4 +355,5 @@ def full_report(
     if not include_local_bloch:  # in full units scaling would only divide by 1.0
         record, _ = scaled_record(record, include_local_bloch=False)
     units = UNITS_FULL if deviation is None else UNITS_DEVIATION
-    return report_from_record(record, rho=rho, units=units)
+    neg = negativity(rho) if rho.shape[-2:] == (4, 4) else None
+    return report_from_record(record, negativity=neg, units=units)

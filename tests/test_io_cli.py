@@ -27,15 +27,22 @@ from qcorr.io import (
     parse_config_file,
     render_table,
     serialize_trajectory,
-    write_state_file,
 )
-from qcorr.measures import UNITS_DEVIATION, UNITS_FULL, report_from_record, scaled_record
+import qcorr.measures
+from qcorr.measures import UNITS_DEVIATION, UNITS_FULL, _spectral_negativity, negativity, \
+    report_from_record, scaled_record
 from qcorr.protocol import run_direct_protocol
 
 
 def write_bell_file(path, c, mode="deviation"):
     path.write_text(json.dumps({"kind": "bell", "c": list(c), "mode": mode}))
     return str(path)
+
+
+def write_state_file(path, rho):
+    rho = np.asarray(rho, dtype=complex)
+    path.write_text(json.dumps({"kind": "matrix", "dim": len(rho), "re": rho.real.tolist(),
+                                "im": rho.imag.tolist()}))
 
 
 def test_format_float_fifteen_digits():
@@ -740,8 +747,25 @@ def test_cli_protocol_stacked_reports_equal_single_calls(tmp_path, monkeypatch, 
                                       epsilon=eps)
         tomo = bloch_decompose(source, 2)
         units = UNITS_FULL if deviation is None else UNITS_DEVIATION
-        assert list(stacked[0]) == [report_from_record(direct, rho=rho, units=units),
-                                    report_from_record(tomo, rho=rho, units=units)]
+        neg = negativity(rho)
+        assert list(stacked[0]) == [report_from_record(direct, negativity=neg, units=units),
+                                    report_from_record(tomo, negativity=neg, units=units)]
+    capsys.readouterr()
+
+
+def test_cli_protocol_diagonalizes_its_state_once(tmp_path, monkeypatch, capsys):
+    # the direct and tomography reports share the state's one negativity
+    items = []
+
+    def spectral(rho):
+        items.append(len(rho.reshape(-1, 4, 4)))
+        return _spectral_negativity(rho)
+
+    monkeypatch.setattr(qcorr.measures, "_spectral_negativity", spectral)
+    matrix = tmp_path / "m.json"
+    write_state_file(matrix, random_density_matrix(4, rank=1, seed=8))  # pure: outside the ball
+    assert main(["protocol", "--state", str(matrix)]) == 0
+    assert sum(items) == 1
     capsys.readouterr()
 
 

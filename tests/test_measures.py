@@ -24,10 +24,12 @@ from qcorr import (
     s_matrix,
     sym3_eigenvalues,
 )
+import qcorr.measures
 from qcorr.measures import (
     BELL_DIAGONAL_TOL,
     DEGENERATE_SPREAD_TOL,
     PPT_BALL_MARGIN,
+    _spectral_negativity,
     partial_transpose,
     scaled_record,
 )
@@ -387,7 +389,7 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         "sym3": sym3_eigenvalues(s),
         "bell": is_bell_diagonal(records),
     }
-    reports = report_from_record(records, rho=rhos)
+    reports = report_from_record(records, negativity=negativity(rhos) if d == 2 else None)
     assert len(reports) == n
     # each column holds NaN exactly where the one-state reports hold None
     for key in ("theta", "q_n", "negativity"):
@@ -411,7 +413,7 @@ def test_stacked_measures_equal_single_calls(seed, d, n):
         assert stacked["bell"][i] == is_bell_diagonal(record)
         if d == 2:
             assert stacked["negativity"][i] == negativity(rhos[i])
-        single = report_from_record(record, rho=rhos[i])
+        single = report_from_record(record, negativity=negativity(rhos[i]) if d == 2 else None)
         assert reports[i] == reports[i - n] == single
         assert all(type(getattr(single, key)) is float for key in ("d_g", "q"))
 
@@ -530,6 +532,26 @@ def test_ball_test_never_certifies_zero_or_negative_trace(seed, trace, spread):
     rho = trace * np.eye(4) / 4.0 + spread * traceless
     assert_same_bytes_as_oracle(rho)
     assert_same_bytes_as_oracle(-rho)
+
+
+def test_ball_test_diagonalizes_only_the_items_outside_the_ball(monkeypatch):
+    calls = []
+
+    def spectral(rho):
+        calls.append(rho.copy())
+        return _spectral_negativity(rho)
+
+    monkeypatch.setattr(qcorr.measures, "_spectral_negativity", spectral)
+    inside = [werner(0.2), np.eye(4) / 4.0, local_rotation(werner(0.3), 0)]
+    outside = [werner(0.5), np.outer(SINGLET, SINGLET)]
+    rhos = np.stack([inside[0], outside[0], inside[1], inside[2], outside[1]])
+    got = negativity(rhos)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(outside))
+    assert got.tolist() == [0.0, negativity(outside[0]), 0.0, 0.0, negativity(outside[1])]
+    calls.clear()
+    assert negativity(np.stack(inside)).tolist() == [0.0, 0.0, 0.0] and not calls
+    negativity(np.stack(outside))
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(outside))
 
 
 def test_negativity_of_minus_identity_quarter_is_two():

@@ -93,6 +93,8 @@ def test_grid_validation():
         make_trajectory(RHO1, t_max=1.0, dt=0.1)
     with pytest.raises(ValueError):
         make_trajectory(RHO1, n_points=1)
+    with pytest.raises(ValueError, match="^n_points must be an integer, got True$"):
+        make_trajectory(RHO1, n_points=True)  # a bool, refused as every integer argument
     with pytest.raises(ValueError):
         make_trajectory(RHO1, t_max=-1.0)
 
